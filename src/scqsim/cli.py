@@ -66,11 +66,9 @@ def run_design(cfg: RunConfig) -> int:
 def run_drive_run(cfg: RunConfig) -> int:
     target, plan = design_transfer(cfg.psi0, cfg.psif, cfg.t_final, cfg.params)
     grid = TimeGrid(0.0, cfg.t_final / cfg.steps, cfg.steps)
-    results = {}
-    for model in ("approximate_rotating", "exact_lab"):
-        res = closed_loop_experiment(plan, cfg.psi0, model, grid, cfg.params,
-                                     r_target=target.rf, substeps=cfg.substeps)
-        results[model] = res
+    results = {model: closed_loop_experiment(plan, cfg.psi0, model, grid, cfg.params,
+                                             r_target=target.rf)
+               for model in ("approximate_rotating", "exact_lab")}
     summary = {
         "plan": plan_to_dict(plan),
         "r0": [float(c) for c in target.r0],
@@ -152,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psif", required=True)
     p.add_argument("--tf", type=float, required=True)
     p.add_argument("--steps", type=int, help="trajectory samples (default 2000)")
-    p.add_argument("--substeps", type=int)
+    p.add_argument("--substeps", type=int, help="accepted (>= 1), no effect: "
+                   "both replays use exact propagators, not a time stepper")
     _add_common(p)
 
     p = sub.add_parser("lyapunov", help="stabilize the L-C-JJ qubit to a target Bloch state")

@@ -340,6 +340,8 @@ def config_from_options(command: str, options: dict) -> RunConfig:
         if spec is None:
             raise ConfigError(f"option {key!r} does not apply to {command!r}")
         kind = spec[1]
+        if kind in ("positive_int", "positive_float") and not value > 0:
+            raise ConfigError(f"option {key!r} must be positive")
         if kind in ("state", "bloch", "model") and isinstance(value, str):
             value = {"state": parse_state_spec, "bloch": parse_bloch_spec,
                      "model": parse_model_spec}[kind](value)

@@ -5,7 +5,6 @@ All functions are pure and never mutate their arguments.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -144,7 +143,7 @@ def matrix_exponential(A) -> np.ndarray:
 
     Hermitian and skew-Hermitian generators go through an eigendecomposition,
     which keeps propagators exactly unitary; anything else falls back to
-    scipy's scaling-and-squaring.
+    scipy's scaling-and-squaring (imported here, so scipy loads only then).
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -157,6 +156,7 @@ def matrix_exponential(A) -> np.ndarray:
     if is_hermitian(1j * A):
         w, v = np.linalg.eigh(1j * A)  # A = -i B with B Hermitian
         return (v * np.exp(-1j * w)) @ v.conj().T
+    import scipy.linalg
     return scipy.linalg.expm(A)
 
 

@@ -18,9 +18,8 @@ coupling in J per drive unit):
                  wq nz = -k amp Q / (2 hbar) + 2 k dc / hbar
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,8 +39,9 @@ from .errors import (
     InvalidStateError,
     UnreachableAxisError,
 )
-from .evolution import BlochTrajectory, TimeGrid, evolve_time_dependent
-from .hamiltonians import DRIVE_SLOTS, HamiltonianOperator, QubitParams, driven_hamiltonian
+from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_static
+from .hamiltonians import (_DRIVE_ZERO_FIELD, DRIVE_SLOTS, HamiltonianOperator, QubitParams,
+                           build_exact_two_level)
 
 # lambda ratio, amplitude factor, nz/nx slope of the dc equation
 _INVERSION = {
@@ -74,8 +74,7 @@ class DrivePlan:
     """Synthesized control-signal parameters for one qubit kind.
 
     ``amplitude`` and ``dc_offset`` are volts (charge), amperes (phase) or
-    radians of external flux (flux). ``envelope`` is the dimensionless pulse
-    shape s(t), None meaning constant 1.
+    radians of external flux (flux). The carrier has no pulse envelope.
     """
 
     qubit_kind: str
@@ -87,7 +86,6 @@ class DrivePlan:
     n_hat: np.ndarray
     omega_q: float
     t_f: Optional[float] = None
-    envelope: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.omega_c < 0:
@@ -205,34 +203,17 @@ def reconstruct_rotation(plan: DrivePlan) -> np.ndarray:
     return np.array([wx, wy, wz])
 
 
-def _envelope_value(plan: DrivePlan, t: float) -> float:
-    return 1.0 if plan.envelope is None else plan.envelope(t)
-
-
-def _envelope_integral(plan: DrivePlan, t: float) -> float:
-    """gamma(t) = integral of s over [0, t]; Simpson quadrature for custom envelopes."""
-    if plan.envelope is None:
-        return t
-    panels = 512
-    ts = np.linspace(0.0, t, 2 * panels + 1)
-    values = np.array([plan.envelope(u) for u in ts])
-    h = t / (2 * panels) if t != 0 else 0.0
-    return float(h / 3 * (values[0] + values[-1]
-                          + 4 * values[1:-1:2].sum() + 2 * values[2:-2:2].sum()))
-
-
 def rwa_hamiltonian(plan: DrivePlan, delta_omega: float, t: float) -> HamiltonianOperator:
     """Rotating-frame drive Hamiltonian after dropping the fast terms.
 
-    charge:      (k amp s(t) / 8)  (sin(p) sx - 2 cos(p) sy + sin(p) sz)
-    phase/flux:  (k amp s(t) / 16) (sin(p) sx - 4 cos(p) sy - 4 sin(p) sz)
+    charge:      (k amp / 8)  (sin(p) sx - 2 cos(p) sy + sin(p) sz)
+    phase/flux:  (k amp / 16) (sin(p) sx - 4 cos(p) sy - 4 sin(p) sz)
 
     with p = delta_omega * t + lambda. At resonance (delta_omega = 0) this is
     time independent: the IQ-mixer form with Q = sin(lambda), I = cos(lambda).
     """
     phase = delta_omega * t + plan.lam
-    s = _envelope_value(plan, t)
-    scale = plan.k * plan.amplitude * s
+    scale = plan.k * plan.amplitude
     if plan.qubit_kind == "charge":
         matrix = scale / 8 * (math.sin(phase) * SIGMA_X - 2 * math.cos(phase) * SIGMA_Y
                               + math.sin(phase) * SIGMA_Z)
@@ -253,30 +234,20 @@ def effective_rotating_hamiltonian(plan: DrivePlan) -> HamiltonianOperator:
 
 
 def control_propagator(plan: DrivePlan, t: float) -> np.ndarray:
-    """Rotating-frame control propagator U_c(t) of the plan.
+    """Rotating-frame control propagator exp(-i t w.sigma / 2), w = reconstruct_rotation(plan).
 
-    charge:      exponent (-i k / hbar) [ (amp/8) g Q sx - (amp/4) g I sy + ((amp/8) g Q + dc t) sz ]
-    phase/flux:  exponent (-i k / hbar) [ (amp/16) g Q sx - (amp/4) g I sy + (-(amp/4) g Q + dc t) sz ]
-
-    with g = gamma(t) the envelope integral (g = t for s = 1).
+    charge:      exponent (-i k t / hbar) [ (amp/8) Q sx - (amp/4) I sy + ((amp/8) Q + dc) sz ]
+    phase/flux:  exponent (-i k t / hbar) [ (amp/16) Q sx - (amp/4) I sy + (-(amp/4) Q + dc) sz ]
     """
-    spec = _INVERSION[plan.qubit_kind]
-    gamma = _envelope_integral(plan, t)
-    Q = math.sin(plan.lam)
-    I = math.cos(plan.lam)
-    ax = spec["ax"] * plan.amplitude * gamma * Q
-    ay = -spec["ay"] * plan.amplitude * gamma * I
-    az = spec["az_amp"] * plan.amplitude * gamma * Q + plan.dc_offset * t
-    exponent = (-1j * plan.k / HBAR) * (ax * SIGMA_X + ay * SIGMA_Y + az * SIGMA_Z)
-    return matrix_exponential(exponent)
+    wx, wy, wz = reconstruct_rotation(plan)
+    return matrix_exponential(-0.5j * t * (wx * SIGMA_X + wy * SIGMA_Y + wz * SIGMA_Z))
 
 
 def drive_signal(plan: DrivePlan) -> Callable[[float], float]:
-    """Physical control signal amp * s(t) * sin(omega_c t + lambda) + dc."""
+    """Physical control signal amp * sin(omega_c t + lambda) + dc."""
 
     def signal(t: float) -> float:
-        return (plan.amplitude * _envelope_value(plan, t)
-                * math.sin(plan.omega_c * t + plan.lam) + plan.dc_offset)
+        return plan.amplitude * math.sin(plan.omega_c * t + plan.lam) + plan.dc_offset
 
     return signal
 
@@ -294,28 +265,52 @@ class TransferResult:
     r_target: np.ndarray
 
 
+def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
+                          params: QubitParams) -> BlochTrajectory:
+    """Exact two-level circuit driven by the plan's signal in the kind's drive slot.
+
+    Zeroing the slot's static drive leaves H(t) = S + signal(t) A, A = dH/d(slot).
+    A traceless 2x2 S commutes with A only as S = c A (c = 0 for charge, phase
+    and flux); then H(t) and H(t') commute for all t, t', the first Magnus term
+    is exact, and U(t) = exp(-i A (F(t) + c (t - t0)) / hbar) with F the
+    closed-form integral of amp sin(omega_c t + lambda) + dc from t0.
+    """
+    slot = DRIVE_SLOTS[plan.qubit_kind]
+    H = build_exact_two_level(replace(params, **{_DRIVE_ZERO_FIELD[slot]: 0.0}))
+    if slot not in H.drive_dependence:
+        raise DomainError(f"{params.qubit_kind} qubit has no drive slot {slot!r}")
+    drive = H.drive_dependence[slot]
+    static = H.traceless()
+    c = np.vdot(drive, static).real / max(np.vdot(drive, drive).real, np.finfo(float).tiny)
+    if np.abs(static - c * drive).max() > 1e-12 * np.abs(static).max():
+        raise DomainError(f"static part of the exact model does not commute with slot {slot!r}")
+    tau = grid.times - grid.t0
+    half = 0.5 * plan.omega_c * tau
+    # (cos(a) - cos(a + wc tau)) / wc = tau sin(a + wc tau / 2) sinc(wc tau / 2), finite at wc = 0
+    integral = (plan.amplitude * tau * np.sin(plan.omega_c * grid.t0 + plan.lam + half)
+                * np.sinc(half / np.pi) + (plan.dc_offset + c) * tau)
+    return _propagate_eigen(drive, psi0, grid.times, integral)
+
+
 def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
-                           params: QubitParams, r_target=None,
-                           substeps: int = 1) -> TransferResult:
+                           params: QubitParams, r_target=None) -> TransferResult:
     """Apply a designed plan to a chosen system model and score the transfer.
 
     ``model`` is "approximate_rotating" (the constant resonant rotating-frame
     generator the plan was designed for) or "exact_lab" (the exact two-level
-    circuit driven by the physical signal in the kind's drive slot). The
-    fidelity target defaults to the plan's own rotation applied to psi0.
+    circuit driven by the physical signal in the kind's drive slot), both with
+    exact propagators. The target defaults to the plan's rotation of psi0.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if r_target is None:
         alpha = plan.omega_q * (plan.t_f if plan.t_f is not None else grid.dt * grid.steps)
         r_target = rotate_bloch(plan.n_hat, alpha, bloch_from_state(psi0))
     if model == "approximate_rotating":
-        h_of_t = effective_rotating_hamiltonian(plan)
+        traj = propagate_static(effective_rotating_hamiltonian(plan), psi0, grid)
     elif model == "exact_lab":
-        slot = DRIVE_SLOTS[plan.qubit_kind]
-        h_of_t = driven_hamiltonian(params, "exact_two_level", {slot: drive_signal(plan)})
+        traj = _exact_lab_trajectory(plan, psi0, grid, params)
     else:
         raise DomainError(f"unknown experiment model {model!r}")
-    traj = evolve_time_dependent(h_of_t, psi0, grid, substeps=substeps)
     r_final = traj.final_bloch
     return TransferResult(traj, bloch_fidelity(r_final, r_target), r_final,
                           np.asarray(r_target, float))
@@ -360,6 +355,3 @@ def plan_from_dict(data: dict, params: QubitParams) -> DrivePlan:
         t_f=float(data["t_f_s"]),
     )
 
-
-def plan_to_json(plan: DrivePlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,11 @@
 """Time evolution of states and density matrices; Bloch trajectory assembly.
 
 Static Hamiltonians propagate through an eigendecomposition (exact up to
-roundoff). Time-dependent Hamiltonians integrate the Schrodinger equation
-with fixed-step classical RK4; the step may be subdivided (``substeps``)
-without changing the output sampling. No renormalization is applied during
-integration: norm drift is a diagnostic and is logged, not hidden.
+roundoff), and so does any generator A f(t) with constant A, given the
+integral of f (the drive replays). Generic time-dependent Hamiltonians use
+fixed-step classical RK4; the step may be subdivided (``substeps``) without
+changing the output sampling. Nothing is renormalized: norm drift is checked
+on every path and is logged, not hidden.
 """
 
 import logging
@@ -140,10 +141,10 @@ def _check_drift(drift: float, what: str):
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
 
 
-def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
-                     grid: TimeGrid) -> BlochTrajectory:
-    """Evolve |psi(t)> = exp(-i H t / hbar) |psi0> on the sampling grid."""
-    matrix = _as_matrix(H)
+def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
+                     elapsed: np.ndarray) -> BlochTrajectory:
+    """States exp(-i matrix elapsed_k / hbar) psi0; ``elapsed`` is the accumulated
+    time per sample (t - t0 for a static generator, the integral of f for matrix * f(t))."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if matrix.shape[0] != psi0.size:
         raise DimensionMismatchError(
@@ -151,12 +152,18 @@ def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
         )
     w, v = np.linalg.eigh(matrix)
     coeff = v.conj().T @ psi0
-    elapsed = grid.times - grid.t0
     phases = np.exp(-1j * np.outer(elapsed, w) / HBAR)
     states = (phases * coeff) @ v.T
     bloch, expectations, leakage, norms = _qubit_readout(states)
-    return BlochTrajectory(grid.times, bloch, states=states,
+    _check_drift(float(np.abs(norms - np.linalg.norm(psi0)).max()), "state norm")
+    return BlochTrajectory(times, bloch, states=states,
                            expectations=expectations, leakage=leakage, norms=norms)
+
+
+def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
+                     grid: TimeGrid) -> BlochTrajectory:
+    """Evolve |psi(t)> = exp(-i H t / hbar) |psi0> on the sampling grid."""
+    return _propagate_eigen(_as_matrix(H), psi0, grid.times, grid.times - grid.t0)
 
 
 def evolve_time_dependent(h_of_t, psi0, grid: TimeGrid,

@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -189,6 +193,42 @@ class TestCliSimulate:
         data = json.loads(capsys.readouterr().out)
         assert set(data) >= {"t", "x", "y", "z", "sx", "sy", "sz", "norm"}
         assert len(data["t"]) == 11
+
+
+class TestCliDriveRun:
+    @pytest.mark.parametrize("qubit", ["charge", "flux"])
+    def test_long_coarse_replay_runs_clean(self, qubit, tmp_path, caplog):
+        # a 1 ns transfer on 200 samples: exact propagators leave no norm drift
+        caplog.set_level(logging.WARNING, logger="scqsim.evolution")
+        out = tmp_path / "run.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # state spec normalization
+            rc = main(["drive-run", "--qubit", qubit, "--psi0", "2,0;0,-1",
+                       "--psif", "1,0;2,1", "--tf", "1e-9", "--steps", "200",
+                       "--out", str(out)])
+        assert rc == 0
+        assert not [r for r in caplog.records if "drift" in r.getMessage()]
+        summary = json.loads(out.read_text())
+        assert summary["approximate_rotating"]["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_substeps_validated_but_inert(self, tmp_path):
+        args = ["drive-run", "--qubit", "charge", "--psi0", "1,0;1,0",
+                "--psif", "1,0;0,1", "--tf", "1e-12", "--steps", "50"]
+        outputs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # state spec normalization
+            assert main(args + ["--substeps", "0"]) == 2
+            for substeps in ("1", "7"):
+                out = tmp_path / f"run{substeps}.json"
+                assert main(args + ["--substeps", substeps, "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, scqsim.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCliPlumbing:

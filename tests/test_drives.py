@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import unit_bloch_vectors
 from oracles import pauli_coefficients, rodrigues, scaled_taylor_expm
 
-from scqsim.constants import HBAR
+from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import (
     SIGMA_X,
     SIGMA_Y,
@@ -18,6 +18,7 @@ from scqsim.core import (
     is_unitary,
     normalize_state,
     phase_distance,
+    rotate_bloch,
     rotation_operator,
 )
 from scqsim.drives import (
@@ -42,7 +43,7 @@ from scqsim.errors import (
     UnreachableAxisError,
 )
 from scqsim.evolution import TimeGrid
-from scqsim.hamiltonians import QubitParams, default_params
+from scqsim.hamiltonians import DRIVE_SLOTS, QubitParams, default_params
 
 CHARGE = default_params("charge")
 PSI0 = normalize_state([2, -1j])
@@ -300,6 +301,76 @@ class TestClosedLoopExperiment:
         with pytest.raises(DomainError):
             closed_loop_experiment(charge_plan, PSI0, "exact_fock",
                                    TimeGrid(0.0, 1e-15, 1), CHARGE)
+
+
+def _exact_lab_oracle(plan, params, grid):
+    """Closed-form single-axis rotation angle and axis of the exact lab-frame replay."""
+    n_zpf, phi_zpf = params.zpf()
+    if DRIVE_SLOTS[plan.qubit_kind] == "V":
+        axis, coeff = [0, 1, 0], -params.E_c * n_zpf * params.C_g / E_CHARGE
+    elif DRIVE_SLOTS[plan.qubit_kind] == "I":
+        axis, coeff = [1, 0, 0], -(HBAR / (2 * E_CHARGE)) * phi_zpf
+    else:
+        axis, coeff = [1, 0, 0], -params.E_L * phi_zpf
+    wc, lam, t0 = plan.omega_c, plan.lam, grid.t0
+    integral = (plan.amplitude * (np.cos(wc * t0 + lam) - np.cos(wc * grid.times + lam)) / wc
+                + plan.dc_offset * (grid.times - t0))
+    return axis, (2 / HBAR) * coeff * integral
+
+
+class TestExactReplays:
+    @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
+    def test_exact_lab_is_closed_form_rotation(self, kind):
+        params = default_params(kind)
+        _, plan = design_transfer(PSI0, PSIF, T_F, params)
+        grid = TimeGrid(3e-13, T_F / 500, 500)
+        traj = closed_loop_experiment(plan, PSI0, "exact_lab", grid, params).trajectory
+        axis, theta = _exact_lab_oracle(plan, params, grid)
+        r0 = bloch_from_state(PSI0)
+        expected = np.array([rodrigues(axis, th) @ r0 for th in theta])
+        assert np.abs(theta).max() > 0.1  # the drive does rotate the state
+        assert np.abs(traj.bloch - expected).max() < 1e-10
+        assert np.abs(traj.norms - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
+    def test_approximate_rotating_is_designed_rotation(self, kind):
+        params = default_params(kind)
+        target, plan = design_transfer(PSI0, PSIF, T_F, params)
+        grid = TimeGrid(0.0, T_F / 400, 400)
+        traj = closed_loop_experiment(plan, PSI0, "approximate_rotating", grid,
+                                      params).trajectory
+        expected = np.array([rotate_bloch(target.n_hat, target.omega_q * t, target.r0)
+                             for t in grid.times])
+        assert np.abs(traj.bloch - expected).max() < 1e-10
+        assert np.abs(traj.norms - 1.0).max() < 1e-12
+
+    def test_static_part_parallel_to_drive_is_folded_in(self):
+        # phase plan on an L-C-JJ circuit with a flux bias: the static sigma_x
+        # part -E_L phi_zpf phi_e commutes with the current drive and adds to
+        # the rotation angle
+        _, plan = design_transfer(PSI0, PSIF, T_F, default_params("phase"))
+        lcjj = default_params("lcjj")
+        params = replace(lcjj, E_L=lcjj.E_J, phi_e=0.3)
+        grid = TimeGrid(0.0, T_F / 500, 500)
+        traj = closed_loop_experiment(plan, PSI0, "exact_lab", grid, params).trajectory
+        axis, theta = _exact_lab_oracle(plan, params, grid)
+        _, phi_zpf = params.zpf()
+        theta = theta + (2 / HBAR) * (-params.E_L * phi_zpf * params.phi_e) * grid.times
+        r0 = bloch_from_state(PSI0)
+        expected = np.array([rodrigues(axis, th) @ r0 for th in theta])
+        assert np.abs(traj.bloch - expected).max() < 1e-10
+
+    def test_noncommuting_static_part_rejected(self, charge_plan):
+        # a bias current adds sigma_x to an L-C-JJ circuit driven through sigma_y
+        params = replace(default_params("lcjj"), I_g=1e-9)
+        with pytest.raises(DomainError):
+            closed_loop_experiment(charge_plan, PSI0, "exact_lab",
+                                   TimeGrid(0.0, 1e-15, 10), params)
+
+    def test_drive_slot_missing_rejected(self, charge_plan):
+        with pytest.raises(DomainError):
+            closed_loop_experiment(charge_plan, PSI0, "exact_lab",
+                                   TimeGrid(0.0, 1e-15, 10), default_params("phase"))
 
 
 class TestPlanSerialization:
