@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export
-from .config import RunConfig, config_from_options, parse_config
+from .config import RunConfig, config_from_options, format_choices, parse_config
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
 from .errors import IntegrationError, NumericError, SimulationError
 from .evolution import TimeGrid, propagate_static
@@ -39,8 +39,7 @@ def _build_static(cfg: RunConfig):
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    steps = max(1, round(cfg.t_final / cfg.dt))
-    grid = TimeGrid(0.0, cfg.dt, steps)
+    grid = TimeGrid(0.0, cfg.dt, cfg.steps)
     H = _build_static(cfg)
     psi0 = cfg.psi0
     if H.dim > 2 and psi0.size == 2:
@@ -113,10 +112,10 @@ _DISPATCH = {
 }
 
 
-def _add_common(p):
+def _add_common(p, formats):
     p.add_argument("--params", help="qubit parameter file (key = value)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
+    p.add_argument("--format", choices=formats, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,16 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="approx | exact2 | fock:N")
     p.add_argument("--psi0", help="initial state 're,im;re,im;...' (default ground state)")
     p.add_argument("--t-final", dest="t_final", type=float, required=True)
-    p.add_argument("--dt", type=float, help="sample interval (default t_final/2000)")
-    p.add_argument("--substeps", type=int, help="integrator substeps per sample")
-    _add_common(p)
+    p.add_argument("--dt", type=float, help="sample interval (default t_final/2000); "
+                   "t_final must be a whole number of them")
 
     p = sub.add_parser("design", help="synthesize a drive plan for a state transfer")
     p.add_argument("--qubit", required=True, choices=["charge", "phase", "flux"])
     p.add_argument("--psi0", required=True)
     p.add_argument("--psif", required=True)
     p.add_argument("--tf", type=float, required=True, help="transfer time, s")
-    _add_common(p)
 
     p = sub.add_parser("drive-run",
                        help="design a plan, replay it on the rotating-frame and exact models")
@@ -152,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="trajectory samples (default 2000)")
     p.add_argument("--substeps", type=int, help="accepted (>= 1), no effect: "
                    "both replays use exact propagators, not a time stepper")
-    _add_common(p)
 
     p = sub.add_parser("lyapunov", help="stabilize the L-C-JJ qubit to a target Bloch state")
     p.add_argument("--r0", required=True, help="initial Bloch vector 'x,y,z'")
@@ -162,24 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, help="samples (default 20000)")
     p.add_argument("--integrator", choices=["fixed_rk4", "substepped"])
-    _add_common(p)
+
+    for command, p in sub.choices.items():
+        _add_common(p, format_choices(command))
     return parser
 
 
-_OPTION_KEYS = {
-    "simulate": ("qubit", "model", "psi0", "t_final", "dt", "substeps",
-                 "params", "out", "format"),
-    "design": ("qubit", "psi0", "psif", "tf", "params", "out", "format"),
-    "drive-run": ("qubit", "psi0", "psif", "tf", "steps", "substeps",
-                  "params", "out", "format"),
-    "lyapunov": ("r0", "rf", "alpha", "beta", "dt", "steps", "integrator",
-                 "params", "out", "format"),
-}
-
-
 def _config_from_args(args) -> RunConfig:
-    raw = vars(args)
-    options = {key: raw.get(key) for key in _OPTION_KEYS[args.command]}
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "config")}
     return config_from_options(args.command, options)
 
 

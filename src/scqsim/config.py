@@ -36,7 +36,6 @@ _COMMAND_KEYS = {
         "psi0": (False, "state"),
         "t_final": (True, "positive_float"),
         "dt": (False, "positive_float"),
-        "substeps": (False, "positive_int"),
         "out": (False, "str"),
         "format": (False, "format"),
     },
@@ -47,7 +46,7 @@ _COMMAND_KEYS = {
         "psif": (True, "state"),
         "tf": (True, "positive_float"),
         "out": (False, "str"),
-        "format": (False, "format"),
+        "format": (False, "json_format"),
     },
     "drive-run": {
         "qubit": (True, "kind"),
@@ -58,7 +57,7 @@ _COMMAND_KEYS = {
         "steps": (False, "positive_int"),
         "substeps": (False, "positive_int"),
         "out": (False, "str"),
-        "format": (False, "format"),
+        "format": (False, "json_format"),
     },
     "lyapunov": {
         "r0": (True, "bloch"),
@@ -73,6 +72,9 @@ _COMMAND_KEYS = {
         "format": (False, "format"),
     },
 }
+
+#: output formats accepted by each format parser
+_FORMATS = {"format": ("csv", "json"), "json_format": ("json",)}
 
 _PARAM_KEYS = ("E_c", "E_J", "E_L", "C_g", "n_g", "I_g", "phi_e",
                "E_LJ0", "n_zpf", "phi_zpf", "V_g")
@@ -159,6 +161,11 @@ def parse_model_spec(text: str) -> tuple[str, Optional[int]]:
     raise ConfigError(f"unknown model {text!r} (expected approx, exact2 or fock:N)")
 
 
+def format_choices(command: str) -> tuple:
+    """Output formats the command can write."""
+    return _FORMATS[_COMMAND_KEYS[command]["format"][1]]
+
+
 def _read_key_values(path: Path):
     """Yield (lineno, key, value) from flat key = value text, skipping comments."""
     try:
@@ -205,9 +212,9 @@ def _convert(kind: str, key: str, value: str, lineno, path):
             return parse_state_spec(value)
         if kind == "bloch":
             return parse_bloch_spec(value)
-        if kind == "format":
-            if value not in ("csv", "json"):
-                raise ConfigError(f"{where}: format must be csv or json")
+        if kind in _FORMATS:
+            if value not in _FORMATS[kind]:
+                raise ConfigError(f"{where}: format must be {' or '.join(_FORMATS[kind])}")
             return value
         if kind == "integrator":
             if value not in ("fixed_rk4", "substepped"):
@@ -305,6 +312,11 @@ def _assemble(command: str, seen: dict, base_dir: Optional[Path] = None) -> RunC
         defaults["dt"] = "t_final / 2000"
     if "steps" in seen:
         cfg.steps = seen["steps"]
+    elif command == "simulate":
+        cfg.steps = max(1, round(cfg.t_final / cfg.dt))
+        if abs(cfg.steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
+            raise ConfigError(f"t_final = {cfg.t_final!r} is not a whole number of "
+                              f"dt = {cfg.dt!r} samples")
     elif command == "drive-run":
         cfg.steps = 2000
         defaults["steps"] = 2000

@@ -7,6 +7,8 @@ so identical runs produce byte-identical files. Lines end with LF.
 import json
 from typing import IO
 
+import numpy as np
+
 from .errors import MissingDataError
 from .evolution import BlochTrajectory
 from .lyapunov import LyapunovRun
@@ -45,12 +47,23 @@ def trajectory_to_dict(traj: BlochTrajectory) -> dict:
 
 
 def write_lyapunov_csv(run: LyapunovRun, stream: IO[str]):
+    """CSV of a feedback run, one row per sample.
+
+    A row whose six state and control values have the same bits as the
+    previous row's (a converged or frozen tail) reuses that row's formatted
+    text; only ``t`` is formatted anew. Comparing bits, not values, keeps
+    0.0 and -0.0 apart, whose reprs differ.
+    """
     stream.write(",".join(LYAPUNOV_HEADER) + "\n")
-    traj = run.trajectory
-    for t, r, V, I, gamma in zip(traj.times, traj.bloch, run.V_series,
-                                 run.I_series, run.gamma_series):
-        row = (t, r[0], r[1], r[2], V, I, gamma)
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+    values = np.column_stack((run.trajectory.bloch, run.V_series, run.I_series,
+                              run.gamma_series))
+    bits = values.view(np.int64)
+    repeats = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
+    tail = ""
+    for t, row, repeat in zip(run.trajectory.times.tolist(), values, repeats):
+        if not repeat:
+            tail = ",".join(map(repr, row.tolist()))
+        stream.write(repr(t) + "," + tail + "\n")
 
 
 def lyapunov_to_dict(run: LyapunovRun) -> dict:

@@ -15,8 +15,8 @@ closed loop depends only on the gains.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -101,41 +101,57 @@ def bilinear_rhs(r, V: float, I: float, phi: float, p: BilinearParams) -> np.nda
     return np.array([-gv * z, gi * z, gv * x - gi * y])
 
 
-def feedback_controls(r, rf, g: Gains, p: BilinearParams) -> Tuple[float, float]:
-    """Stabilizing voltage and current: V = (alpha/cV)(x zf - xf z), I = (beta/cI)(yf z - y zf)."""
-    w = r[0] * rf[2] - rf[0] * r[2]
-    u = rf[1] * r[2] - r[1] * rf[2]
+def feedback_controls(r, rf, g: Gains, p: BilinearParams):
+    """Stabilizing voltage and current: V = (alpha/cV)(x zf - xf z), I = (beta/cI)(yf z - y zf).
+
+    ``r`` is one Bloch vector or any ``(..., 3)`` array of them; V and I come
+    back as scalars or as arrays of the leading shape.
+    """
+    x, y, z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
+    w = x * rf[2] - rf[0] * z
+    u = rf[1] * z - y * rf[2]
     return g.alpha / p.c_V * w, g.beta / p.c_I * u
 
 
-def lyapunov_value(r, rf) -> float:
-    """Squared error gamma = |r - rf|^2 / 2."""
+def lyapunov_value(r, rf):
+    """Squared error gamma = |r - rf|^2 / 2 of one Bloch vector or a ``(..., 3)`` array.
+
+    ``np.vecdot`` gives each row the bits ``np.dot`` gives that row alone; an
+    explicit sum of squares or ``einsum`` rounds some rows differently.
+    """
     e = np.asarray(r, float) - np.asarray(rf, float)
-    return float(0.5 * np.dot(e, e))
+    return 0.5 * np.vecdot(e, e)
 
 
-def _scalar_rhs(r, rf, g: Gains, p: BilinearParams):
-    """Closed-loop Bloch velocity through the physical control route (plain floats)."""
-    x, y, z = r
-    w = x * rf[2] - rf[0] * z
-    u = rf[1] * z - y * rf[2]
-    gv = p.c_V * (g.alpha / p.c_V * w)
-    gi = p.c_I * (g.beta / p.c_I * u)
-    return (-gv * z, gi * z, gv * x - gi * y)
+def _closed_loop_step(rf, g: Gains, p: BilinearParams):
+    """RK4 step ``step(r, h)`` of the closed loop through the physical control route.
 
+    Plain floats throughout. The coefficients are looked up once; the
+    velocity keeps the physical route c_V * ((alpha/c_V) * w), so the
+    trajectory matches bilinear_rhs driven by feedback_controls bit for bit.
+    """
+    c_V, c_I = p.c_V, p.c_I
+    k_V, k_I = g.alpha / c_V, g.beta / c_I
+    xf, yf, zf = rf
 
-def _rk4_step(r, h, rf, g, p):
-    k1 = _scalar_rhs(r, rf, g, p)
-    r2 = (r[0] + 0.5 * h * k1[0], r[1] + 0.5 * h * k1[1], r[2] + 0.5 * h * k1[2])
-    k2 = _scalar_rhs(r2, rf, g, p)
-    r3 = (r[0] + 0.5 * h * k2[0], r[1] + 0.5 * h * k2[1], r[2] + 0.5 * h * k2[2])
-    k3 = _scalar_rhs(r3, rf, g, p)
-    r4 = (r[0] + h * k3[0], r[1] + h * k3[1], r[2] + h * k3[2])
-    k4 = _scalar_rhs(r4, rf, g, p)
-    s = h / 6.0
-    return (r[0] + s * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            r[1] + s * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            r[2] + s * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]))
+    def rhs(x, y, z):
+        gv = c_V * (k_V * (x * zf - xf * z))
+        gi = c_I * (k_I * (yf * z - y * zf))
+        return -gv * z, gi * z, gv * x - gi * y
+
+    def step(r, h):
+        x, y, z = r
+        a = 0.5 * h
+        k1x, k1y, k1z = rhs(x, y, z)
+        k2x, k2y, k2z = rhs(x + a * k1x, y + a * k1y, z + a * k1z)
+        k3x, k3y, k3z = rhs(x + a * k2x, y + a * k2y, z + a * k2z)
+        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
+        s = h / 6.0
+        return (x + s * (k1x + 2 * k2x + 2 * k3x + k4x),
+                y + s * (k1y + 2 * k2y + 2 * k3y + k4y),
+                z + s * (k1z + 2 * k2z + 2 * k3z + k4z))
+
+    return step
 
 
 def _feedback_speed(r, rf, g: Gains) -> float:
@@ -148,8 +164,11 @@ def _feedback_speed(r, rf, g: Gains) -> float:
 #: displacement below which the rest of a sample interval is not resolvable
 FREEZE_DISPLACEMENT = 1e-18
 
+#: Bloch norms above this leave the unit ball that BlochTrajectory accepts
+NORM_CEILING = 1 + 1e-9
 
-def _advance_substepped(r, dt, rf, g, p, state):
+
+def _advance_substepped(r, dt, step, rf, g, state):
     """Integrate one sample interval with step-doubling error control.
 
     The step h halves until one full step and two half steps agree within an
@@ -171,9 +190,8 @@ def _advance_substepped(r, dt, rf, g, p, state):
         h = min(h, remaining)
         while True:
             try:
-                coarse = _rk4_step(r, h, rf, g, p)
-                mid = _rk4_step(r, 0.5 * h, rf, g, p)
-                fine = _rk4_step(mid, 0.5 * h, rf, g, p)
+                coarse = step(r, h)
+                fine = step(step(r, 0.5 * h), 0.5 * h)
                 err = math.hypot(fine[0] - coarse[0], fine[1] - coarse[1],
                                  fine[2] - coarse[2])
             except OverflowError:
@@ -202,7 +220,10 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     ``integrator`` is "fixed_rk4" (one RK4 step per sample; reproducible
     bit-for-bit) or "substepped" (adaptive internal halving, needed when
     1/gain is far below the sample interval). Raises IntegrationError when
-    the Bloch norm drifts by more than 1e-4.
+    the Bloch norm drifts below 1 by more than 1e-4 or rises above
+    NORM_CEILING. A substepped run whose state is frozen at the start of a
+    sample (see _advance_substepped) holds it for every later sample too, so
+    the remaining rows are filled without stepping.
     """
     r0 = np.asarray(r0, dtype=float)
     rf = np.asarray(rf, dtype=float)
@@ -213,34 +234,38 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
         raise DomainError(f"unknown integrator {integrator!r}")
 
     n = grid.steps + 1
-    bloch = np.empty((n, 3))
-    bloch[0] = r0
-    r = (float(r0[0]), float(r0[1]), float(r0[2]))
-    rf_t = (float(rf[0]), float(rf[1]), float(rf[2]))
-    state = {"h": grid.dt}
-    for k in range(grid.steps):
+    dt = grid.dt
+    r = tuple(r0.tolist())
+    rf_t = tuple(rf.tolist())
+    step = _closed_loop_step(rf_t, g, p)
+    substepped = integrator == "substepped"
+    state = {"h": dt}
+    flat = array("d", r)  # rows packed as doubles; no per-row tuple is kept
+    for k in range(1, n):
+        if substepped and _feedback_speed(r, rf_t, g) * dt < FREEZE_DISPLACEMENT:
+            # r cannot move in this sample, so the same test holds in every later one
+            flat.extend(r * (n - k))
+            break
         try:
-            if integrator == "fixed_rk4":
-                r = _rk4_step(r, grid.dt, rf_t, g, p)
-            else:
-                r = _advance_substepped(r, grid.dt, rf_t, g, p, state)
-            drift = abs(math.hypot(*r) - 1.0)
+            r = _advance_substepped(r, dt, step, rf_t, g, state) if substepped else step(r, dt)
+            norm = math.hypot(*r)
         except OverflowError:
-            drift = math.inf
-        if drift > 1e-4:
+            norm = math.inf
+        if not 1.0 - 1e-4 <= norm <= NORM_CEILING:
             raise IntegrationError(
-                f"Bloch norm drifted by {drift:.3e} at sample {k + 1}; "
+                f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k}; "
                 "use integrator='substepped' or shrink dt"
             )
-        bloch[k + 1] = r
+        flat.extend(r)
+    bloch = np.frombuffer(flat).reshape(n, 3)
 
-    controls = np.array([feedback_controls(b, rf, g, p) for b in bloch])
-    gamma = np.array([lyapunov_value(b, rf) for b in bloch])
+    V, I = feedback_controls(bloch, rf, g, p)
+    gamma = lyapunov_value(bloch, rf)
     final_error = float(np.linalg.norm(bloch[-1] - rf))
     monotone = bool(np.all(np.diff(gamma) <= 1e-9))
     traj = BlochTrajectory(grid.times, bloch,
                            expectations={"sx": bloch[:, 0], "sy": bloch[:, 1],
                                          "sz": bloch[:, 2]})
-    return LyapunovRun(traj, controls[:, 0], controls[:, 1], gamma,
+    return LyapunovRun(traj, V, I, gamma,
                        converged=(final_error < 1e-3 and monotone),
                        final_error=final_error)

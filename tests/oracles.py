@@ -2,10 +2,23 @@
 
 Nothing here imports the code paths under test: matrix exponentials come from
 a plain Taylor series, Bloch rotations from the Rodrigues formula, and the
-feedback loop from a literal reduced-form RK4.
+feedback loop from a literal reduced-form RK4. The bit-for-bit references of
+the feedback loop and its CSV are built one row at a time from the library's
+single-vector formulas (bilinear_rhs, feedback_controls, lyapunov_value) and
+repr(), with none of the loop or export code they check.
 """
 
+import math
+
 import numpy as np
+
+from scqsim.lyapunov import (
+    FREEZE_DISPLACEMENT,
+    SUBSTEP_DRIFT_TOL,
+    bilinear_rhs,
+    feedback_controls,
+    lyapunov_value,
+)
 
 
 def taylor_expm(A, terms=30):
@@ -89,3 +102,71 @@ def reduced_loop_rk4(r0, rf, alpha, beta, dt, steps):
         r = r + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = r
     return out
+
+
+def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
+    """Per-row reference of simulate_closed_loop: (bloch, V, I, gamma).
+
+    Every RK4 stage drives bilinear_rhs (flux pinned at 0) with
+    feedback_controls at the stage state. The substepped branch applies the
+    step-doubling rules of the library's substepped integrator on every
+    sample, frozen ones included. V, I and gamma take one call per row.
+    """
+    rf = np.asarray(rf, dtype=float)
+    dt = grid.dt
+
+    def f(r):
+        V, I = feedback_controls(r, rf, g, p)
+        return bilinear_rhs(r, V, I, 0.0, p)
+
+    def rk4(r, h):
+        k1 = f(r)
+        k2 = f(r + 0.5 * h * k1)
+        k3 = f(r + 0.5 * h * k2)
+        k4 = f(r + h * k3)
+        return r + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def speed(r):
+        w = r[0] * rf[2] - rf[0] * r[2]
+        u = rf[1] * r[2] - r[1] * rf[2]
+        return 2.0 * (g.alpha * abs(w) + g.beta * abs(u))
+
+    cap = 2.5 / max(g.alpha, g.beta)
+    h = dt
+    r = np.asarray(r0, dtype=float)
+    rows = [r]
+    for _ in range(grid.steps):
+        if integrator == "fixed_rk4":
+            r = rk4(r, dt)
+        else:
+            h = min(h, dt, cap)
+            remaining = dt
+            while remaining > 0.0 and not speed(r) * remaining < FREEZE_DISPLACEMENT:
+                h = min(h, remaining)
+                while True:
+                    coarse = rk4(r, h)
+                    fine = rk4(rk4(r, 0.5 * h), 0.5 * h)
+                    err = math.hypot(*(fine - coarse))
+                    allowance = SUBSTEP_DRIFT_TOL * (h / dt)
+                    if err <= allowance:
+                        break
+                    h *= 0.5
+                r = fine
+                remaining -= h
+                if err < allowance / 64.0:
+                    h = min(h * 2.0, dt, cap)
+        rows.append(r)
+    bloch = np.array(rows)
+    controls = np.array([feedback_controls(b, rf, g, p) for b in bloch])
+    gamma = np.array([lyapunov_value(b, rf) for b in bloch])
+    return bloch, controls[:, 0], controls[:, 1], gamma
+
+
+def naive_lyapunov_csv(run):
+    """The feedback CSV written cell by cell with repr()."""
+    traj = run.trajectory
+    lines = ["t,x,y,z,V,I,gamma"]
+    for k, t in enumerate(traj.times):
+        row = (t, *traj.bloch[k], run.V_series[k], run.I_series[k], run.gamma_series[k])
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -144,6 +144,30 @@ class TestCliDesign:
         assert json.loads(out.read_text())["kind"] == "charge"
 
 
+class TestJsonOnlyCommands:
+    TRANSFER = ["--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
+                "--tf", "1e-12"]
+    ARGS = {"design": TRANSFER, "drive-run": TRANSFER + ["--steps", "20"]}
+
+    @pytest.mark.parametrize("command", ["design", "drive-run"])
+    def test_csv_format_rejected(self, command, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main([command, *self.ARGS[command], "--format", "csv"])
+        assert err.value.code == 2
+        cfg = write(tmp_path, "run.cfg", f"[{command}]\nqubit = charge\npsi0 = 1,0;0,0\n"
+                    "psif = 0.6,0;0,0.8\ntf = 1e-12\nformat = csv\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:6: format must be json"):
+            parse_config(cfg)
+        assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["design", "drive-run"])
+    def test_json_format_accepted(self, command, tmp_path):
+        out = tmp_path / "out.json"
+        assert main([command, *self.ARGS[command], "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())
+
+
 class TestCliLyapunov:
     def test_reference_run_csv(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -164,6 +188,14 @@ class TestCliLyapunov:
                    "--alpha", "1e10", "--beta", "5e10", "--dt", "1e-6",
                    "--steps", "50", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    def test_norm_overshoot_is_a_numeric_failure(self, tmp_path, capsys):
+        # fixed_rk4 pushes |r| past 1 + 1e-9 long before the 1e-4 drift bound
+        rc = main(["lyapunov", "--r0", "0.6,0,0.8", "--rf", "0,0.6,0.8",
+                   "--alpha", "2", "--beta", "10", "--dt", "4e-3", "--steps", "5000",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "substepped" in capsys.readouterr().err
 
 
 class TestCliSimulate:
@@ -193,6 +225,28 @@ class TestCliSimulate:
         data = json.loads(capsys.readouterr().out)
         assert set(data) >= {"t", "x", "y", "z", "sx", "sy", "sz", "norm"}
         assert len(data["t"]) == 11
+
+    def test_substeps_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--qubit", "charge", "--t-final", "1e-13",
+                  "--substeps", "3"])
+        assert err.value.code == 2
+        cfg = write(tmp_path, "run.cfg",
+                    "[simulate]\nqubit = charge\nt_final = 1e-13\nsubsteps = 3\n")
+        assert main(["--config", str(cfg)]) == 2
+
+    def test_t_final_off_the_sample_grid_rejected(self, tmp_path, capsys):
+        # 1e-12 / 3e-13 = 3.33 samples: the run used to stop at 9e-13
+        rc = main(["simulate", "--qubit", "charge", "--t-final", "1e-12", "--dt", "3e-13"])
+        assert rc == 2
+        assert "whole number" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="whole number"):
+            parse_config(write(tmp_path, "run.cfg",
+                               "[simulate]\nqubit = charge\nt_final = 1e-12\ndt = 3e-13\n"))
+        cfg = parse_config(write(tmp_path, "ok.cfg",
+                                 "[simulate]\nqubit = charge\nt_final = 1e-12\n"
+                                 "dt = 2.5e-13\n"))
+        assert cfg.steps == 4
 
 
 class TestCliDriveRun:

@@ -1,3 +1,4 @@
+import io
 import time
 
 import numpy as np
@@ -6,13 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
-from oracles import reduced_loop_rk4
+from oracles import naive_closed_loop, naive_lyapunov_csv, reduced_loop_rk4
 
 from scqsim.errors import DomainError, IntegrationError
-from scqsim.evolution import TimeGrid
+from scqsim.evolution import BlochTrajectory, TimeGrid
+from scqsim.export import write_lyapunov_csv
 from scqsim.lyapunov import (
     BilinearParams,
     Gains,
+    LyapunovRun,
     bilinear_rhs,
     default_bilinear_params,
     feedback_controls,
@@ -105,6 +108,23 @@ class TestLyapunovValue:
     def test_nonnegative(self):
         assert lyapunov_value([1, 0, 0], [0, 1, 0]) > 0
 
+    def test_array_matches_per_row_dot(self):
+        bloch = simulate_closed_loop(R0, RF, GAINS, PARAMS,
+                                     TimeGrid(0.0, 1e-3, 2000)).trajectory.bloch
+        per_row = [0.5 * np.dot(e, e) for e in bloch - RF]
+        assert np.array_equal(lyapunov_value(bloch, RF), per_row)
+        assert lyapunov_value(bloch.reshape(-1, 1, 3), RF).shape == (2001, 1)
+
+
+class TestArrayControls:
+    def test_leading_dimensions(self):
+        r = np.array([[R0, -RF], [RF, [0.6, 0.0, 0.8]]])
+        V, I = feedback_controls(r, [0.0, 0.6, 0.8], GAINS, PARAMS)
+        assert V.shape == I.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert (V[idx], I[idx]) == feedback_controls(r[idx], [0.0, 0.6, 0.8],
+                                                         GAINS, PARAMS)
+
 
 class TestSimulateClosedLoop:
     def test_start_at_target_stays(self):
@@ -184,6 +204,52 @@ class TestSimulateClosedLoop:
         with pytest.raises(DomainError):
             simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(0.0, 1e-3, 10),
                                  integrator="euler")
+
+
+RF_OFF_AXIS = np.array([0.6, 0.0, 0.8])
+
+
+class TestBitwiseOracle:
+    """simulate_closed_loop and write_lyapunov_csv equal per-row references bit for bit."""
+
+    @pytest.mark.parametrize("integrator, gains, grid, rf", [
+        ("fixed_rk4", GAINS, TimeGrid(0.0, 1e-3, 1500), RF),
+        ("fixed_rk4", GAINS, TimeGrid(0.0, 2e-3, 1500), RF_OFF_AXIS),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200), RF),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200), RF_OFF_AXIS),
+    ])
+    def test_closed_loop(self, integrator, gains, grid, rf):
+        run = simulate_closed_loop(R0, rf, gains, PARAMS, grid, integrator=integrator)
+        bloch, V, I, gamma = naive_closed_loop(R0, rf, gains, PARAMS, grid, integrator)
+        assert np.array_equal(run.trajectory.bloch, bloch)
+        assert np.array_equal(run.V_series, V)
+        assert np.array_equal(run.I_series, I)
+        assert np.array_equal(run.gamma_series, gamma)
+        if integrator == "substepped":  # the frozen tail is filled, not stepped
+            assert np.all(bloch[-100:] == bloch[-1])
+
+    @pytest.mark.parametrize("integrator, gains, grid", [
+        ("fixed_rk4", GAINS, TimeGrid(0.0, 1e-3, 500)),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200)),
+    ])
+    def test_csv(self, integrator, gains, grid):
+        run = simulate_closed_loop(R0, RF, gains, PARAMS, grid, integrator=integrator)
+        b = run.trajectory.bloch
+        repeats = np.all(b[1:] == b[:-1], axis=1).sum()
+        assert (repeats > 100) == (integrator == "substepped")
+        stream = io.StringIO()
+        write_lyapunov_csv(run, stream)
+        assert stream.getvalue() == naive_lyapunov_csv(run)
+
+    def test_csv_keeps_signed_zeros_apart(self):
+        bloch = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]])
+        zeros = np.array([0.0, -0.0, -0.0])
+        run = LyapunovRun(BlochTrajectory(np.arange(3.0), bloch), zeros, zeros,
+                          np.zeros(3), converged=True, final_error=0.0)
+        stream = io.StringIO()
+        write_lyapunov_csv(run, stream)
+        assert stream.getvalue() == naive_lyapunov_csv(run)
+        assert stream.getvalue().splitlines()[2] == "1.0,-0.0,0.0,1.0,-0.0,-0.0,0.0"
 
 
 class TestValidation:
