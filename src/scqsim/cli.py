@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export
-from .config import RunConfig, config_from_options, format_choices, parse_config
+from .config import CHOICES, COMMAND_KEYS, REQUIRED, RunConfig, parse_config, resolve
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
 from .errors import IntegrationError, NumericError, SimulationError
 from .evolution import TimeGrid, propagate_static
@@ -39,6 +39,7 @@ def _build_static(cfg: RunConfig):
 
 
 def run_simulate(cfg: RunConfig) -> int:
+    """evolve a state under a static circuit Hamiltonian"""
     grid = TimeGrid(0.0, cfg.dt, cfg.steps)
     H = _build_static(cfg)
     psi0 = cfg.psi0
@@ -56,15 +57,17 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_design(cfg: RunConfig) -> int:
-    _, plan = design_transfer(cfg.psi0, cfg.psif, cfg.t_final, cfg.params)
+    """synthesize a drive plan for a state transfer"""
+    _, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
     with _output(cfg.out) as stream:
         export.dump_json(plan_to_dict(plan), stream)
     return 0
 
 
 def run_drive_run(cfg: RunConfig) -> int:
-    target, plan = design_transfer(cfg.psi0, cfg.psif, cfg.t_final, cfg.params)
-    grid = TimeGrid(0.0, cfg.t_final / cfg.steps, cfg.steps)
+    """design a plan, replay it on the rotating-frame and exact models"""
+    target, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
+    grid = TimeGrid(0.0, cfg.tf / cfg.steps, cfg.steps)
     results = {model: closed_loop_experiment(plan, cfg.psi0, model, grid, cfg.params,
                                              r_target=target.rf)
                for model in ("approximate_rotating", "exact_lab")}
@@ -92,6 +95,7 @@ def run_drive_run(cfg: RunConfig) -> int:
 
 
 def run_lyapunov(cfg: RunConfig) -> int:
+    """stabilize the L-C-JJ qubit to a target Bloch state"""
     grid = TimeGrid(0.0, cfg.dt, cfg.steps)
     run = simulate_closed_loop(cfg.r0, cfg.rf, Gains(cfg.alpha, cfg.beta),
                                BilinearParams.from_qubit(cfg.params), grid,
@@ -112,62 +116,57 @@ _DISPATCH = {
 }
 
 
-def _add_common(p, formats):
-    p.add_argument("--params", help="qubit parameter file (key = value)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=formats, help="output format")
+#: help text per option key, shared by every command that takes the key
+_OPTION_HELP = {
+    "qubit": "circuit kind",
+    "model": "approx | exact2 | fock:N",
+    "psi0": "initial state 're,im;re,im;...'",
+    "psif": "target state 're,im;re,im;...'",
+    "t_final": "evolution time, s",
+    "tf": "transfer time, s",
+    "dt": "sample interval, s (simulate: t_final / 2000 by default, must divide t_final)",
+    "steps": "trajectory samples",
+    "substeps": "accepted (>= 1), no effect: both replays use exact propagators",
+    "r0": "initial Bloch vector 'x,y,z'",
+    "rf": "target Bloch vector 'x,y,z'",
+    "alpha": "feedback gain of the voltage channel",
+    "beta": "feedback gain of the current channel",
+    "integrator": "closed-loop integrator",
+    "params": "qubit parameter file (key = value)",
+    "out": "output path (default: stdout)",
+    "format": "output format",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, one option per schema key of config.COMMAND_KEYS.
+
+    A command's help is its run function's docstring. Options keep their
+    text: values are converted and checked by config.resolve, the path
+    config files take too.
+    """
     parser = argparse.ArgumentParser(
         prog="scqsim",
         description="Superconducting qubit evolution, drive design and stabilization",
     )
     parser.add_argument("--config", help="run configuration file (instead of a subcommand)")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("simulate", help="evolve a state under a static circuit Hamiltonian")
-    p.add_argument("--qubit", required=True, choices=["charge", "phase", "flux", "lcjj"])
-    p.add_argument("--model", default=None, help="approx | exact2 | fock:N")
-    p.add_argument("--psi0", help="initial state 're,im;re,im;...' (default ground state)")
-    p.add_argument("--t-final", dest="t_final", type=float, required=True)
-    p.add_argument("--dt", type=float, help="sample interval (default t_final/2000); "
-                   "t_final must be a whole number of them")
-
-    p = sub.add_parser("design", help="synthesize a drive plan for a state transfer")
-    p.add_argument("--qubit", required=True, choices=["charge", "phase", "flux"])
-    p.add_argument("--psi0", required=True)
-    p.add_argument("--psif", required=True)
-    p.add_argument("--tf", type=float, required=True, help="transfer time, s")
-
-    p = sub.add_parser("drive-run",
-                       help="design a plan, replay it on the rotating-frame and exact models")
-    p.add_argument("--qubit", required=True, choices=["charge", "phase", "flux"])
-    p.add_argument("--psi0", required=True)
-    p.add_argument("--psif", required=True)
-    p.add_argument("--tf", type=float, required=True)
-    p.add_argument("--steps", type=int, help="trajectory samples (default 2000)")
-    p.add_argument("--substeps", type=int, help="accepted (>= 1), no effect: "
-                   "both replays use exact propagators, not a time stepper")
-
-    p = sub.add_parser("lyapunov", help="stabilize the L-C-JJ qubit to a target Bloch state")
-    p.add_argument("--r0", required=True, help="initial Bloch vector 'x,y,z'")
-    p.add_argument("--rf", required=True, help="target Bloch vector 'x,y,z'")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, help="samples (default 20000)")
-    p.add_argument("--integrator", choices=["fixed_rk4", "substepped"])
-
-    for command, p in sub.choices.items():
-        _add_common(p, format_choices(command))
+    for command, schema in COMMAND_KEYS.items():
+        p = sub.add_parser(command, help=_DISPATCH[command].__doc__)
+        for key, (kind, default) in schema.items():
+            text = _OPTION_HELP[key]
+            if default not in (REQUIRED, None):
+                text += f" (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key, required=default is REQUIRED,
+                           choices=CHOICES.get(kind), help=text)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    options = {key: value for key, value in vars(args).items()
-               if key not in ("command", "config")}
-    return config_from_options(args.command, options)
+    entries = [("--" + key.replace("_", "-"), key, value)
+               for key, value in vars(args).items()
+               if key in COMMAND_KEYS[args.command] and value is not None]
+    return resolve(args.command, entries, "command line")
 
 
 def main(argv=None) -> int:

@@ -7,15 +7,13 @@ phase lambda, ac amplitude, dc offset and carrier frequency. The same plan
 can then be replayed against the exact lab-frame circuit model, which rotates
 about a different axis and misses the target.
 
-Per-kind inversion identities (Q = sin lambda, I = cos lambda, k the drive
-coupling in J per drive unit):
+Inversion identities (Q = sin lambda, I = cos lambda, k the drive coupling
+in J per drive unit, (ax, ay, az) from _AXES: (1/8, 1/4, 1/8) for charge,
+(1/16, 1/4, -1/4) for phase and flux):
 
-    charge:      wq nx =  k amp Q / (4 hbar)
-                 wq ny = -k amp I / (2 hbar)
-                 wq nz =  k amp Q / (4 hbar) + 2 k dc / hbar
-    phase/flux:  wq nx =  k amp Q / (8 hbar)
-                 wq ny = -k amp I / (2 hbar)
-                 wq nz = -k amp Q / (2 hbar) + 2 k dc / hbar
+    wq nx =  2 ax k amp Q / hbar
+    wq ny = -2 ay k amp I / hbar
+    wq nz =  2 az k amp Q / hbar + 2 k dc / hbar
 """
 
 import math
@@ -43,12 +41,10 @@ from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_st
 from .hamiltonians import (_DRIVE_ZERO_FIELD, DRIVE_SLOTS, HamiltonianOperator, QubitParams,
                            build_exact_two_level)
 
-# lambda ratio, amplitude factor, nz/nx slope of the dc equation
-_INVERSION = {
-    "charge": dict(tan_ratio=2.0, amp_factor=4.0, nz_slope=-1.0, ax=1 / 8, ay=1 / 4, az_amp=1 / 8),
-    "phase": dict(tan_ratio=4.0, amp_factor=8.0, nz_slope=4.0, ax=1 / 16, ay=1 / 4, az_amp=-1 / 4),
-    "flux": dict(tan_ratio=4.0, amp_factor=8.0, nz_slope=4.0, ax=1 / 16, ay=1 / 4, az_amp=-1 / 4),
-}
+# (ax, ay, az) per kind: the rotating-frame drive is k amp (ax Q sx - ay I sy + az Q sz),
+# all powers of two; the flux drive couples like the phase drive
+_AXES = {"charge": (1 / 8, 1 / 4, 1 / 8), "phase": (1 / 16, 1 / 4, -1 / 4)}
+_AXES["flux"] = _AXES["phase"]
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def rotation_target(r0, rf, t_f: float) -> RotationTarget:
 
 def carrier_frequency(kind: str, params: QubitParams) -> float:
     """Resonant carrier |omega_z - omega_x| with omega_z = E_c/hbar, omega_x = E_J/hbar."""
-    if kind not in _INVERSION:
+    if kind not in _AXES:
         raise DomainError(f"no microwave drive inversion for kind {kind!r}")
     omega_z = params.E_c / HBAR
     omega_x = params.E_J / HBAR
@@ -154,11 +150,12 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
     n = np.asarray(n_hat, dtype=float).ravel()
     if n.size != 3 or abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise UnreachableAxisError("rotation axis must be a unit 3-vector")
-    spec = _INVERSION[kind] if kind in _INVERSION else None
-    if spec is None:
-        raise DomainError(f"no microwave drive inversion for kind {kind!r}")
+    omega_c = carrier_frequency(kind, params)  # rejects kinds without a drive inversion
     k = drive_coupling(kind, params)
-    omega_c = carrier_frequency(kind, params)
+    ax, ay, az = _AXES[kind]
+    tan_ratio = ay / ax        # of lambda
+    amp_factor = 1 / (2 * ax)
+    nz_slope = -az / ax        # of the dc equation
     nx, ny, nz = (float(v) for v in n)  # plain floats: overflow -> inf, no warning
     if nx == 0.0:
         lam = 0.0
@@ -169,18 +166,18 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
         )
     else:
         try:
-            ratio = -spec["tan_ratio"] * nx / ny
+            ratio = -tan_ratio * nx / ny
         except OverflowError:
             ratio = math.inf if (nx / ny) < 0 else -math.inf
         lam = math.atan(ratio)
         # amplitude = amp_factor * hbar wq nx / (k sin(lam)), written through
         # nx / sin(atan(ratio)) so neither factor under- or overflows
         if abs(ratio) <= 1.0:
-            nx_over_q = -ny * math.sqrt(1.0 + ratio * ratio) / spec["tan_ratio"]
+            nx_over_q = -ny * math.sqrt(1.0 + ratio * ratio) / tan_ratio
         else:
             nx_over_q = nx * math.sqrt(1.0 + ratio**-2) * math.copysign(1.0, ratio)
-        amplitude = spec["amp_factor"] * HBAR * omega_q * nx_over_q / k
-    dc = HBAR * omega_q * (nz + spec["nz_slope"] * nx) / (2 * k)
+        amplitude = amp_factor * HBAR * omega_q * nx_over_q / k
+    dc = HBAR * omega_q * (nz + nz_slope * nx) / (2 * k)
     return DrivePlan(kind, lam, amplitude, dc, omega_c, k,
                      n_hat=n.copy(), omega_q=omega_q, t_f=t_f)
 
@@ -194,12 +191,12 @@ def design_transfer(psi0, psif, t_f: float, params: QubitParams) -> tuple[Rotati
 
 def reconstruct_rotation(plan: DrivePlan) -> np.ndarray:
     """omega_q * n_hat implied by a plan through the inversion identities (round trip)."""
-    spec = _INVERSION[plan.qubit_kind]
+    ax, ay, az = _AXES[plan.qubit_kind]
     Q = math.sin(plan.lam)
     I = math.cos(plan.lam)
-    wx = 2 * spec["ax"] * plan.k * plan.amplitude * Q / HBAR
-    wy = -2 * spec["ay"] * plan.k * plan.amplitude * I / HBAR
-    wz = 2 * spec["az_amp"] * plan.k * plan.amplitude * Q / HBAR + 2 * plan.k * plan.dc_offset / HBAR
+    wx = 2 * ax * plan.k * plan.amplitude * Q / HBAR
+    wy = -2 * ay * plan.k * plan.amplitude * I / HBAR
+    wz = 2 * az * plan.k * plan.amplitude * Q / HBAR + 2 * plan.k * plan.dc_offset / HBAR
     return np.array([wx, wy, wz])
 
 
@@ -212,14 +209,11 @@ def rwa_hamiltonian(plan: DrivePlan, delta_omega: float, t: float) -> Hamiltonia
     with p = delta_omega * t + lambda. At resonance (delta_omega = 0) this is
     time independent: the IQ-mixer form with Q = sin(lambda), I = cos(lambda).
     """
+    ax, ay, az = _AXES[plan.qubit_kind]
     phase = delta_omega * t + plan.lam
-    scale = plan.k * plan.amplitude
-    if plan.qubit_kind == "charge":
-        matrix = scale / 8 * (math.sin(phase) * SIGMA_X - 2 * math.cos(phase) * SIGMA_Y
-                              + math.sin(phase) * SIGMA_Z)
-    else:
-        matrix = scale / 16 * (math.sin(phase) * SIGMA_X - 4 * math.cos(phase) * SIGMA_Y
-                               - 4 * math.sin(phase) * SIGMA_Z)
+    Q = math.sin(phase)
+    I = math.cos(phase)
+    matrix = plan.k * plan.amplitude * (ax * Q * SIGMA_X - ay * I * SIGMA_Y + az * Q * SIGMA_Z)
     return HamiltonianOperator(matrix, "approximate")
 
 

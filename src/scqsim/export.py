@@ -17,10 +17,6 @@ TRAJECTORY_HEADER = ("t", "x", "y", "z", "sx", "sy", "sz", "norm")
 LYAPUNOV_HEADER = ("t", "x", "y", "z", "V", "I", "gamma")
 
 
-def fmt(x) -> str:
-    return repr(float(x))
-
-
 def _trajectory_columns(traj: BlochTrajectory):
     if traj.norms is None:
         raise MissingDataError("trajectory has no norm series to export")
@@ -34,51 +30,52 @@ def _trajectory_columns(traj: BlochTrajectory):
     return header, columns
 
 
-def write_trajectory_csv(traj: BlochTrajectory, stream: IO[str]):
-    header, columns = _trajectory_columns(traj)
-    stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+def _lyapunov_columns(run: LyapunovRun):
+    traj = run.trajectory
+    columns = [traj.times, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
+               run.V_series, run.I_series, run.gamma_series]
+    return list(LYAPUNOV_HEADER), columns
 
 
-def trajectory_to_dict(traj: BlochTrajectory) -> dict:
-    header, columns = _trajectory_columns(traj)
-    return {name: [float(v) for v in col] for name, col in zip(header, columns)}
+def _columns_to_dict(header, columns) -> dict:
+    return {name: col.tolist() for name, col in zip(header, columns)}
 
 
-def write_lyapunov_csv(run: LyapunovRun, stream: IO[str]):
-    """CSV of a feedback run, one row per sample.
+def _write_csv(header, columns, stream: IO[str]):
+    """CSV with a time column first, one row per sample.
 
-    A row whose six state and control values have the same bits as the
-    previous row's (a converged or frozen tail) reuses that row's formatted
-    text; only ``t`` is formatted anew. Comparing bits, not values, keeps
-    0.0 and -0.0 apart, whose reprs differ.
+    A row whose values after ``t`` have the same bits as the previous row's
+    (a frozen state, a converged or frozen feedback tail) reuses that row's
+    formatted text; only ``t`` is formatted anew. Comparing bits, not values,
+    keeps 0.0 and -0.0 apart, whose reprs differ.
     """
-    stream.write(",".join(LYAPUNOV_HEADER) + "\n")
-    values = np.column_stack((run.trajectory.bloch, run.V_series, run.I_series,
-                              run.gamma_series))
+    stream.write(",".join(header) + "\n")
+    values = np.column_stack(columns[1:])
     bits = values.view(np.int64)
     repeats = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
     tail = ""
-    for t, row, repeat in zip(run.trajectory.times.tolist(), values, repeats):
+    for t, row, repeat in zip(columns[0].tolist(), values, repeats):
         if not repeat:
             tail = ",".join(map(repr, row.tolist()))
         stream.write(repr(t) + "," + tail + "\n")
 
 
+def write_trajectory_csv(traj: BlochTrajectory, stream: IO[str]):
+    _write_csv(*_trajectory_columns(traj), stream)
+
+
+def trajectory_to_dict(traj: BlochTrajectory) -> dict:
+    return _columns_to_dict(*_trajectory_columns(traj))
+
+
+def write_lyapunov_csv(run: LyapunovRun, stream: IO[str]):
+    _write_csv(*_lyapunov_columns(run), stream)
+
+
 def lyapunov_to_dict(run: LyapunovRun) -> dict:
-    traj = run.trajectory
-    return {
-        "t": [float(v) for v in traj.times],
-        "x": [float(v) for v in traj.bloch[:, 0]],
-        "y": [float(v) for v in traj.bloch[:, 1]],
-        "z": [float(v) for v in traj.bloch[:, 2]],
-        "V": [float(v) for v in run.V_series],
-        "I": [float(v) for v in run.I_series],
-        "gamma": [float(v) for v in run.gamma_series],
-        "converged": run.converged,
-        "final_error": run.final_error,
-    }
+    data = _columns_to_dict(*_lyapunov_columns(run))
+    data.update(converged=run.converged, final_error=run.final_error)
+    return data
 
 
 def dump_json(data: dict, stream: IO[str]):

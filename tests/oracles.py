@@ -5,7 +5,8 @@ a plain Taylor series, Bloch rotations from the Rodrigues formula, and the
 feedback loop from a literal reduced-form RK4. The bit-for-bit references of
 the feedback loop and its CSV are built one row at a time from the library's
 single-vector formulas (bilinear_rhs, feedback_controls, lyapunov_value) and
-repr(), with none of the loop or export code they check.
+repr(), with none of the loop or export code they check; so is the
+trajectory CSV.
 """
 
 import math
@@ -168,5 +169,20 @@ def naive_lyapunov_csv(run):
     lines = ["t,x,y,z,V,I,gamma"]
     for k, t in enumerate(traj.times):
         row = (t, *traj.bloch[k], run.V_series[k], run.I_series[k], run.gamma_series[k])
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def naive_trajectory_csv(traj):
+    """The trajectory CSV written cell by cell with repr()."""
+    header = ["t", "x", "y", "z", "sx", "sy", "sz", "norm"]
+    columns = [traj.times, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
+               traj.expectations["sx"], traj.expectations["sy"], traj.expectations["sz"],
+               traj.norms]
+    if traj.leakage is not None:
+        header.append("leakage")
+        columns.append(traj.leakage)
+    lines = [",".join(header)]
+    for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

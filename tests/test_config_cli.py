@@ -3,14 +3,20 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scqsim.cli import main
+from scqsim.cli import _config_from_args, build_parser, main
 from scqsim.config import (
+    CHOICES,
+    COMMAND_KEYS,
+    COMMANDS,
     parse_bloch_spec,
     parse_config,
     parse_params_file,
@@ -326,3 +332,111 @@ def test_shipped_configs_run_clean(config, tmp_path, monkeypatch):
     start = time.perf_counter()
     assert main(["--config", str(config)]) == 0
     assert time.perf_counter() - start < 60.0
+
+
+# A valid value for every required key of each command
+VALID = {
+    "simulate": {"qubit": "charge", "t_final": "1e-13"},
+    "design": {"qubit": "charge", "psi0": "1,0;0,0", "psif": "0.6,0;0,0.8", "tf": "1e-12"},
+    "drive-run": {"qubit": "charge", "psi0": "1,0;0,0", "psif": "0.6,0;0,0.8",
+                  "tf": "1e-12", "steps": "5"},
+    "lyapunov": {"r0": "0.6,0,0.8", "rf": "0,0,1", "alpha": "2", "beta": "10",
+                 "dt": "1e-3", "steps": "5"},
+}
+
+
+def cli_args(command, options):
+    return [command] + [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+
+
+def config_text(command, options):
+    return f"[{command}]\n" + "".join(f"{key} = {value}\n" for key, value in options.items())
+
+
+class TestOneFrontEnd:
+    """The CLI and config files share one schema and one validation path."""
+
+    def test_cli_and_config_take_the_same_keys(self):
+        expected = {
+            "simulate": {"qubit", "model", "psi0", "t_final", "dt", "params", "out", "format"},
+            "design": {"qubit", "psi0", "psif", "tf", "params", "out", "format"},
+            "drive-run": {"qubit", "psi0", "psif", "tf", "steps", "substeps", "params", "out",
+                          "format"},
+            "lyapunov": {"r0", "rf", "alpha", "beta", "dt", "steps", "integrator", "params",
+                         "out", "format"},
+        }
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == set(COMMANDS) == set(expected)
+        for command, parser in sub.choices.items():
+            assert {a.dest for a in parser._actions} - {"help"} == expected[command]
+            assert set(COMMAND_KEYS[command]) == expected[command]
+
+    @pytest.mark.parametrize("command, key", [("simulate", "t_final"), ("drive-run", "tf"),
+                                              ("lyapunov", "alpha"), ("lyapunov", "dt")])
+    def test_non_finite_value_rejected_by_both(self, command, key, tmp_path, capsys):
+        # the CLI used to crash (simulate), write NaN fidelities (drive-run) or exit 3
+        options = dict(VALID[command], **{key: "inf"}, out=str(tmp_path / "out"))
+        message = f"{key} must be a positive finite number"
+        assert main(cli_args(command, options)) == 2
+        assert f"--{key.replace('_', '-')}: {message}" in capsys.readouterr().err
+        cfg = write(tmp_path, "run.cfg", config_text(command, options))
+        line = 2 + list(options).index(key)
+        assert main(["--config", str(cfg)]) == 2
+        assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["design", "drive-run"])
+    def test_drive_commands_reject_lcjj_at_parse_time(self, command, tmp_path):
+        cfg = write(tmp_path, "run.cfg", config_text(command, dict(VALID[command], qubit="lcjj")))
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: qubit must be charge or phase or flux"):
+            parse_config(cfg)
+        with pytest.raises(SystemExit) as err:
+            main(cli_args(command, dict(VALID[command], qubit="lcjj")))
+        assert err.value.code == 2
+
+    def test_defaults_filled_and_recorded(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "run.cfg", config_text("drive-run", VALID["drive-run"])))
+        assert cfg.fmt == "json" and cfg.defaults_used == {"format": "json"}
+        cfg = _config_from_args(build_parser().parse_args(cli_args("lyapunov", VALID["lyapunov"])))
+        assert (cfg.integrator, cfg.fmt, cfg.steps) == ("fixed_rk4", "csv", 5)
+        assert cfg.defaults_used == {"integrator": "fixed_rk4", "format": "csv"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_schema_key(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        for key in COMMAND_KEYS[command]:
+            assert f"--{key.replace('_', '-')}" in out
+
+    @settings(max_examples=300)
+    @given(case=st.sampled_from([(command, key) for command, schema in COMMAND_KEYS.items()
+                                 for key in schema]),
+           text=st.one_of(
+               st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                                     include_characters="\x00\t"), max_size=24),
+               st.sampled_from(["inf", "-inf", "nan", "0", "-1", "1e400", "1e-400", "2.5",
+                                "fock:3", "fock:x", "0,0;0,0", "nan,0;1,0", "1e200,0;1,0",
+                                "0,0,0", "inf,0,0", "1e200,0,0", "lcjj", "csv", ".", "/"])))
+    def test_fuzzed_value_raises_only_config_error(self, case, text):
+        command, key = case
+        options = dict(VALID[command], **{key: text})
+        kind = COMMAND_KEYS[command][key][0]
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+            warnings.simplefilter("ignore", UserWarning)  # state spec normalization
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(config_text(command, options))
+            try:
+                parse_config(cfg)
+            except ConfigError as exc:  # a params file error names that file
+                assert "run.cfg" in str(exc) or key == "params"
+            try:
+                args = build_parser().parse_args(cli_args(command, options))
+            except SystemExit as exc:  # argparse choices
+                assert exc.code == 2 and kind in CHOICES
+                return
+            try:
+                _config_from_args(args)
+            except ConfigError:
+                pass

@@ -172,6 +172,26 @@ class TestRwaHamiltonian:
                                                    - 4 * Q * SIGMA_Z)
         assert np.allclose(H, expected)
 
+    @given(st.sampled_from(sorted(DRIVE_SLOTS)), unit_bloch_vectors(),
+           st.floats(min_value=-1e11, max_value=1e11),
+           st.floats(min_value=0.0, max_value=1e-12))
+    def test_axes_table_matches_per_kind_formulas(self, kind, n_hat, delta_omega, t):
+        # the literal per-kind forms the (ax, ay, az) table replaced; equal values,
+        # while the sign of a zero imaginary part may differ
+        if n_hat[1] == 0.0 and n_hat[0] != 0.0:
+            return
+        plan = design_drive(kind, n_hat, 1e12, default_params(kind))
+        H = rwa_hamiltonian(plan, delta_omega, t).matrix
+        p = delta_omega * t + plan.lam
+        scale = plan.k * plan.amplitude
+        if kind == "charge":
+            expected = scale / 8 * (math.sin(p) * SIGMA_X - 2 * math.cos(p) * SIGMA_Y
+                                    + math.sin(p) * SIGMA_Z)
+        else:
+            expected = scale / 16 * (math.sin(p) * SIGMA_X - 4 * math.cos(p) * SIGMA_Y
+                                     - 4 * math.sin(p) * SIGMA_Z)
+        assert np.array_equal(H, expected)
+
     @given(st.floats(min_value=-1e11, max_value=1e11),
            st.floats(min_value=0.0, max_value=1e-12))
     def test_hermitian(self, delta_omega, t):

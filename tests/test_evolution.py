@@ -1,5 +1,10 @@
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from oracles import naive_trajectory_csv
 
 from scqsim.constants import HBAR
 from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Z, density_from_state, normalize_state
@@ -17,7 +22,14 @@ from scqsim.evolution import (
     observable_series,
     propagate_static,
 )
-from scqsim.hamiltonians import QubitParams, build_approximate, build_exact_two_level, default_params
+from scqsim.export import write_trajectory_csv
+from scqsim.hamiltonians import (
+    QubitParams,
+    build_approximate,
+    build_exact_two_level,
+    build_fock,
+    default_params,
+)
 
 E_J_REF = 1.359e-24
 PSI0 = normalize_state([1, 0])
@@ -185,3 +197,28 @@ def test_three_methods_agree():
     c = evolve_master(density_from_state(psi0), H, grid, substeps=4).bloch
     assert np.abs(a - b).max() < 1e-8
     assert np.abs(a - c).max() < 1e-8
+
+
+class TestTrajectoryCsv:
+    """The CSV writer against a repr-per-cell oracle, byte for byte."""
+
+    def test_zero_drive_run_reuses_rows(self):
+        # no gate charge: the exact two-level operator is a pure offset, every row repeats
+        H = build_exact_two_level(replace(default_params("charge"), n_g=0.0))
+        traj = propagate_static(H, PSI0, TimeGrid(0.0, 1e-15, 50))
+        stream = io.StringIO()
+        write_trajectory_csv(traj, stream)
+        lines = stream.getvalue().splitlines()
+        assert len({line.split(",", 1)[1] for line in lines[1:]}) == 1
+        assert stream.getvalue() == naive_trajectory_csv(traj)
+
+    def test_fock_run_with_leakage_column(self):
+        H = build_fock(default_params("charge"), 8)
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[:2] = normalize_state([0.6, 0.8j])
+        traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 100))
+        stream = io.StringIO()
+        write_trajectory_csv(traj, stream)
+        assert stream.getvalue().splitlines()[0].endswith(",norm,leakage")
+        assert traj.leakage.max() > 0
+        assert stream.getvalue() == naive_trajectory_csv(traj)
