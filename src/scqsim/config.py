@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .hamiltonians import DRIVE_SLOTS, QUBIT_KINDS, QubitParams, default_params, induced_charge
 
 #: schema default of a key the command cannot run without
@@ -222,7 +222,9 @@ def _convert(kind: str, key: str, value: str, where: str):
             return parse_state_spec(value)
         if kind == "bloch":
             return parse_bloch_spec(value)
-        return value  # "path", "str"
+        if not value:  # "path", "str"
+            raise ConfigError(f"{key} must not be empty")
+        return value
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     except ValueError:
@@ -230,25 +232,42 @@ def _convert(kind: str, key: str, value: str, where: str):
 
 
 def parse_params_file(path, kind: str) -> QubitParams:
-    """Qubit parameters from a key = value file, merged over the kind defaults."""
+    """Qubit parameters from a key = value file, merged over the kind defaults.
+
+    Each value must be a finite number its parameter accepts (QubitParams
+    checks it); every error names the file and line.
+    """
     path = Path(path)
+    base = default_params(kind)
     seen = {}
     for lineno, key, value in _read_key_values(path, "params"):
+        where = f"{path}:{lineno}"
         if key == "[section]":
-            raise ConfigError(f"{path}:{lineno}: params files take no section header")
+            raise ConfigError(f"{where}: params files take no section header")
         if key not in _PARAM_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown parameter key {key!r}")
+            raise ConfigError(f"{where}: unknown parameter key {key!r}")
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate parameter key {key!r}")
+            raise ConfigError(f"{where}: duplicate parameter key {key!r}")
+        if {"V_g", "n_g"} <= {key, *seen}:
+            raise ConfigError(f"{where}: give V_g or n_g, not both")
         try:
-            seen[key] = float(value)
+            x = float(value)
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} value {value!r} is not numeric") from None
-    if "V_g" in seen and "n_g" in seen:
-        raise ConfigError(f"{path}: give V_g or n_g, not both")
-    base = default_params(kind)
+            raise ConfigError(f"{where}: {key} value {value!r} is not numeric") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+        if key == "V_g":
+            vg_line = lineno
+        else:
+            try:
+                replace(base, **{key: x})
+            except DomainError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+        seen[key] = x
     if "V_g" in seen:
         seen["n_g"] = induced_charge(seen.get("C_g", base.C_g), seen.pop("V_g"))
+        if not math.isfinite(seen["n_g"]):
+            raise ConfigError(f"{path}:{vg_line}: V_g gives a non-finite n_g")
     return replace(base, **seen)
 
 

@@ -2,6 +2,11 @@
 
 Floats are written with repr(), the shortest representation that round-trips,
 so identical runs produce byte-identical files. Lines end with LF.
+
+One cell formatter serves both formats. Rows go out in blocks of BLOCK_ROWS;
+within a block each distinct 64-bit pattern is formatted once (repr depends
+only on a float's bits), the block's text is assembled by %-formats and
+written with one write call.
 """
 
 import json
@@ -15,6 +20,12 @@ from .lyapunov import LyapunovRun
 
 TRAJECTORY_HEADER = ("t", "x", "y", "z", "sx", "sy", "sz", "norm")
 LYAPUNOV_HEADER = ("t", "x", "y", "z", "V", "I", "gamma")
+
+#: rows formatted and written per block; bounds the text held in memory
+BLOCK_ROWS = 256
+
+#: how json spells the floats that repr() writes as nan / inf / -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _trajectory_columns(traj: BlochTrajectory):
@@ -37,8 +48,25 @@ def _lyapunov_columns(run: LyapunovRun):
     return list(LYAPUNOV_HEADER), columns
 
 
-def _columns_to_dict(header, columns) -> dict:
-    return {name: col.tolist() for name, col in zip(header, columns)}
+def _cell_texts(values: np.ndarray, json_style: bool = False) -> np.ndarray:
+    """Text of every cell of a float64 array, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once. Bits, not values, decide:
+    0.0 and -0.0 compare equal but print differently. Strictly increasing
+    cells (a time grid) are all distinct, so they skip the search for
+    repeats. ``json_style`` spells non-finite cells the way json does.
+    """
+    flat = np.ascontiguousarray(values).ravel()
+    if (flat[1:] > flat[:-1]).all():
+        floats, inverse = flat, None
+    else:
+        uniq, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        floats = uniq.view(np.float64)
+    texts = list(map(repr, floats.tolist()))
+    if json_style and not np.isfinite(floats).all():
+        texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
+    texts = np.array(texts, dtype=object)
+    return (texts if inverse is None else texts[inverse]).reshape(values.shape)
 
 
 def _write_csv(header, columns, stream: IO[str]):
@@ -46,18 +74,47 @@ def _write_csv(header, columns, stream: IO[str]):
 
     A row whose values after ``t`` have the same bits as the previous row's
     (a frozen state, a converged or frozen feedback tail) reuses that row's
-    formatted text; only ``t`` is formatted anew. Comparing bits, not values,
-    keeps 0.0 and -0.0 apart, whose reprs differ.
+    text, also when the previous row lies in an earlier block; only ``t`` is
+    formatted anew.
     """
     stream.write(",".join(header) + "\n")
+    times = columns[0]
     values = np.column_stack(columns[1:])
+    n_rows, width = values.shape
     bits = values.view(np.int64)
-    repeats = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
-    tail = ""
-    for t, row, repeat in zip(columns[0].tolist(), values, repeats):
-        if not repeat:
-            tail = ",".join(map(repr, row.tolist()))
-        stream.write(repr(t) + "," + tail + "\n")
+    fresh = np.ones(n_rows, dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    # the row whose text each row reuses: the last fresh row at or before it
+    source = np.maximum.accumulate(np.where(fresh, np.arange(n_rows), 0))
+    line_format = "%s," * (width - 1) + "%s\n"
+    for start in range(0, n_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_rows)
+        # the block's fresh rows, and the row its leading repeats reuse
+        needed = fresh[start:stop].copy()
+        needed[0] = True
+        payload = _cell_texts(values[source[start:stop][needed]])
+        stamps = _cell_texts(times[start:stop])
+        if needed.all():  # no repeats: one format over every cell
+            cells = np.column_stack((stamps, payload))
+            text = ("%s," + line_format) * (stop - start) % tuple(cells.ravel().tolist())
+        else:  # each needed row's line once, then every row is t plus its source's line
+            lines = (line_format * len(payload) % tuple(payload.ravel().tolist())).splitlines(True)
+            pairs = np.column_stack((stamps, np.array(lines, dtype=object)[np.cumsum(needed) - 1]))
+            text = "%s,%s" * (stop - start) % tuple(pairs.ravel().tolist())
+        stream.write(text)
+
+
+def _write_json_column(column: np.ndarray, stream: IO[str]):
+    """A float array as a json list nested one level deep (indent=2)."""
+    if column.size == 0:
+        stream.write("[]")
+        return
+    separator = "[\n    "
+    for start in range(0, column.size, BLOCK_ROWS):
+        texts = _cell_texts(column[start:start + BLOCK_ROWS], json_style=True).tolist()
+        stream.write(separator + ",\n    ".join(texts))
+        separator = ",\n    "
+    stream.write("\n  ]")
 
 
 def write_trajectory_csv(traj: BlochTrajectory, stream: IO[str]):
@@ -65,7 +122,7 @@ def write_trajectory_csv(traj: BlochTrajectory, stream: IO[str]):
 
 
 def trajectory_to_dict(traj: BlochTrajectory) -> dict:
-    return _columns_to_dict(*_trajectory_columns(traj))
+    return dict(zip(*_trajectory_columns(traj)))
 
 
 def write_lyapunov_csv(run: LyapunovRun, stream: IO[str]):
@@ -73,11 +130,24 @@ def write_lyapunov_csv(run: LyapunovRun, stream: IO[str]):
 
 
 def lyapunov_to_dict(run: LyapunovRun) -> dict:
-    data = _columns_to_dict(*_lyapunov_columns(run))
+    data = dict(zip(*_lyapunov_columns(run)))
     data.update(converged=run.converged, final_error=run.final_error)
     return data
 
 
 def dump_json(data: dict, stream: IO[str]):
-    json.dump(data, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """``json.dump(data, indent=2, sort_keys=True)`` plus a newline, byte for byte.
+
+    Top-level float arrays are written as json lists through the cell
+    formatter; every other value goes through json.
+    """
+    separator = "{\n"
+    for key in sorted(data):
+        value = data[key]
+        stream.write(f"{separator}  {json.dumps(key)}: ")
+        if isinstance(value, np.ndarray):
+            _write_json_column(value, stream)
+        else:
+            stream.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        separator = ",\n"
+    stream.write("\n}\n" if data else "{}\n")

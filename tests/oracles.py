@@ -5,10 +5,11 @@ a plain Taylor series, Bloch rotations from the Rodrigues formula, and the
 feedback loop from a literal reduced-form RK4. The bit-for-bit references of
 the feedback loop and its CSV are built one row at a time from the library's
 single-vector formulas (bilinear_rhs, feedback_controls, lyapunov_value) and
-repr(), with none of the loop or export code they check; so is the
-trajectory CSV.
+repr(), with none of the loop or export code they check; so are the
+trajectory CSV and the json text of both exports.
 """
 
+import json
 import math
 
 import numpy as np
@@ -163,18 +164,8 @@ def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
     return bloch, controls[:, 0], controls[:, 1], gamma
 
 
-def naive_lyapunov_csv(run):
-    """The feedback CSV written cell by cell with repr()."""
-    traj = run.trajectory
-    lines = ["t,x,y,z,V,I,gamma"]
-    for k, t in enumerate(traj.times):
-        row = (t, *traj.bloch[k], run.V_series[k], run.I_series[k], run.gamma_series[k])
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def naive_trajectory_csv(traj):
-    """The trajectory CSV written cell by cell with repr()."""
+def trajectory_columns(traj):
+    """(header, columns) of a trajectory export: t, Bloch, <sigma>, norm[, leakage]."""
     header = ["t", "x", "y", "z", "sx", "sy", "sz", "norm"]
     columns = [traj.times, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
                traj.expectations["sx"], traj.expectations["sy"], traj.expectations["sz"],
@@ -182,7 +173,37 @@ def naive_trajectory_csv(traj):
     if traj.leakage is not None:
         header.append("leakage")
         columns.append(traj.leakage)
+    return header, columns
+
+
+def lyapunov_columns(run):
+    """(header, columns) of a feedback-run export: t, Bloch, V, I, gamma."""
+    traj = run.trajectory
+    return (["t", "x", "y", "z", "V", "I", "gamma"],
+            [traj.times, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
+             run.V_series, run.I_series, run.gamma_series])
+
+
+def naive_csv(header, columns):
+    """A CSV written cell by cell with repr()."""
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def naive_json(data):
+    """json.dump(indent=2, sort_keys=True) of ``data`` with its arrays as lists, plus a newline."""
+    plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
+             for key, value in data.items()}
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def naive_lyapunov_csv(run):
+    """The feedback CSV written cell by cell with repr()."""
+    return naive_csv(*lyapunov_columns(run))
+
+
+def naive_trajectory_csv(traj):
+    """The trajectory CSV written cell by cell with repr()."""
+    return naive_csv(*trajectory_columns(traj))

@@ -1,10 +1,13 @@
 import json
 import logging
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +26,11 @@ from scqsim.config import (
     parse_state_spec,
 )
 from scqsim.errors import ConfigError
-from scqsim.hamiltonians import induced_charge
+from scqsim.hamiltonians import QUBIT_KINDS, QubitParams, induced_charge
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+PARAM_NAMES = [f.name for f in fields(QubitParams) if f.name != "qubit_kind"]
 
 
 def write(tmp_path, name, text):
@@ -130,6 +134,44 @@ class TestValueParsers:
         with pytest.raises(ConfigError, match="not both"):
             parse_params_file(path, "charge")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_params_file_rejects_non_finite_value(self, value, tmp_path):
+        path = write(tmp_path, "p.params", f"E_c = 7.55e-23\nE_J = {value}\n")
+        with pytest.raises(ConfigError, match=r"p\.params:2: E_J must be a finite number"):
+            parse_params_file(path, "charge")
+
+    @pytest.mark.parametrize("text, message", [
+        ("E_c = 7.55e-23\n\nE_J = -1e-24\n", r"p\.params:3: E_J must be non-negative"),
+        ("phi_zpf = 0\n", r"p\.params:1: phi_zpf must be positive"),
+        ("C_g = 1e300\nV_g = 1e300\n", r"p\.params:2: V_g gives a non-finite n_g"),
+        ("V_g = 1e-3\nn_g = 0.5\n", r"p\.params:2: give V_g or n_g, not both"),
+    ])
+    def test_params_file_errors_name_their_line(self, text, message, tmp_path):
+        with pytest.raises(ConfigError, match=message):
+            parse_params_file(write(tmp_path, "p.params", text), "charge")
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(QUBIT_KINDS), lines=st.lists(st.one_of(
+        st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                              include_characters="\x00\t"), max_size=24),
+        st.builds("{} = {}".format,
+                  st.sampled_from(PARAM_NAMES + ["V_g", "qubit_kind", "x", "", "[p]"]),
+                  st.one_of(st.sampled_from(["nan", "-inf", "1e400", "-1", "0", "-0", "1e300",
+                                             "7.55e-23", "x", ""]),
+                            st.floats().map(repr), st.text(max_size=8)))), max_size=6))
+    def test_fuzzed_params_file_raises_only_located_config_error(self, kind, lines):
+        # a line number on every error; whatever is accepted is finite
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.params"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                params = parse_params_file(path, kind)
+            except ConfigError as exc:
+                assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), str(exc)
+                return
+        values = [getattr(params, name) for name in PARAM_NAMES]
+        assert all(math.isfinite(v) for v in values if v is not None)
+
 
 class TestCliDesign:
     def test_charge_reference_plan(self, capsys):
@@ -223,6 +265,15 @@ class TestCliSimulate:
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header == "t,x,y,z,sx,sy,sz,norm,leakage"
+
+    def test_non_finite_params_file_exits_2(self, tmp_path, capsys):
+        # it used to exit 0 with every cell nan
+        params = write(tmp_path, "nan.params", "E_J = nan\n")
+        out = tmp_path / "nan.csv"
+        assert main(["simulate", "--qubit", "charge", "--t-final", "1e-13",
+                     "--params", str(params), "--out", str(out)]) == 2
+        assert "nan.params:1: E_J must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_format(self, capsys):
         rc = main(["simulate", "--qubit", "charge", "--t-final", "1e-13",
@@ -384,6 +435,17 @@ class TestOneFrontEnd:
         assert main(["--config", str(cfg)]) == 2
         assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_out_rejected_by_both(self, command, tmp_path, capsys):
+        # it passed the schema and failed at open() with exit 4
+        options = dict(VALID[command], out="")
+        assert main(cli_args(command, options)) == 2
+        assert "--out: out must not be empty" in capsys.readouterr().err
+        cfg = write(tmp_path, "run.cfg", config_text(command, options))
+        line = 2 + list(options).index("out")
+        assert main(["--config", str(cfg)]) == 2
+        assert f"run.cfg:{line}: out must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["design", "drive-run"])
     def test_drive_commands_reject_lcjj_at_parse_time(self, command, tmp_path):
