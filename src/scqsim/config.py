@@ -239,7 +239,7 @@ def parse_params_file(path, kind: str) -> QubitParams:
     """
     path = Path(path)
     base = default_params(kind)
-    seen = {}
+    seen, lines = {}, {}
     for lineno, key, value in _read_key_values(path, "params"):
         where = f"{path}:{lineno}"
         if key == "[section]":
@@ -256,19 +256,31 @@ def parse_params_file(path, kind: str) -> QubitParams:
             raise ConfigError(f"{where}: {key} value {value!r} is not numeric") from None
         if not math.isfinite(x):
             raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
-        if key == "V_g":
-            vg_line = lineno
-        else:
+        if key != "V_g":
             try:
                 replace(base, **{key: x})
             except DomainError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         seen[key] = x
+        lines[key] = lineno
     if "V_g" in seen:
         seen["n_g"] = induced_charge(seen.get("C_g", base.C_g), seen.pop("V_g"))
         if not math.isfinite(seen["n_g"]):
-            raise ConfigError(f"{path}:{vg_line}: V_g gives a non-finite n_g")
-    return replace(base, **seen)
+            raise ConfigError(f"{path}:{lines['V_g']}: V_g gives a non-finite n_g")
+    params = replace(base, **seen)
+    # the operator scales: a given one, else E_c and E_LJ0, fix the pair
+    given = [k for k in ("n_zpf", "phi_zpf") if k in lines] or \
+        [k for k in ("E_c", "E_LJ0") if k in lines]
+    if given:
+        try:
+            scales = params.zpf()
+        except DomainError:  # no scales to derive; models that need them say so
+            scales = ()
+        if not all(map(math.isfinite, scales)):
+            key = max(given, key=lines.get)
+            raise ConfigError(f"{path}:{lines[key]}: {key} gives non-finite operator scales "
+                              f"(n_zpf, phi_zpf) = {scales}")
+    return params
 
 
 def parse_config(path) -> RunConfig:

@@ -52,21 +52,15 @@ def _cell_texts(values: np.ndarray, json_style: bool = False) -> np.ndarray:
     """Text of every cell of a float64 array, as an object array of its shape.
 
     Each distinct bit pattern is formatted once. Bits, not values, decide:
-    0.0 and -0.0 compare equal but print differently. Strictly increasing
-    cells (a time grid) are all distinct, so they skip the search for
-    repeats. ``json_style`` spells non-finite cells the way json does.
+    0.0 and -0.0 compare equal but print differently. ``json_style`` spells
+    non-finite cells the way json does.
     """
-    flat = np.ascontiguousarray(values).ravel()
-    if (flat[1:] > flat[:-1]).all():
-        floats, inverse = flat, None
-    else:
-        uniq, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-        floats = uniq.view(np.float64)
+    uniq, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    floats = uniq.view(np.float64)
     texts = list(map(repr, floats.tolist()))
     if json_style and not np.isfinite(floats).all():
         texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
-    texts = np.array(texts, dtype=object)
-    return (texts if inverse is None else texts[inverse]).reshape(values.shape)
+    return np.array(texts, dtype=object)[inverse].reshape(values.shape)
 
 
 def _write_csv(header, columns, stream: IO[str]):
@@ -94,6 +88,9 @@ def _write_csv(header, columns, stream: IO[str]):
         needed[0] = True
         payload = _cell_texts(values[source[start:stop][needed]])
         stamps = _cell_texts(times[start:stop])
+        # pairing t with whole lines saves formatting repeated rows again but
+        # costs a split and a second format, which a block without repeats
+        # does not repay
         if needed.all():  # no repeats: one format over every cell
             cells = np.column_stack((stamps, payload))
             text = ("%s," + line_format) * (stop - start) % tuple(cells.ravel().tolist())
@@ -138,14 +135,15 @@ def lyapunov_to_dict(run: LyapunovRun) -> dict:
 def dump_json(data: dict, stream: IO[str]):
     """``json.dump(data, indent=2, sort_keys=True)`` plus a newline, byte for byte.
 
-    Top-level float arrays are written as json lists through the cell
-    formatter; every other value goes through json.
+    Top-level 1-D float64 arrays are written as json lists through the cell
+    formatter; every other value goes through json, which refuses other
+    arrays.
     """
     separator = "{\n"
     for key in sorted(data):
         value = data[key]
         stream.write(f"{separator}  {json.dumps(key)}: ")
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
             _write_json_column(value, stream)
         else:
             stream.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))

@@ -25,7 +25,7 @@ from scqsim.config import (
     parse_params_file,
     parse_state_spec,
 )
-from scqsim.errors import ConfigError
+from scqsim.errors import ConfigError, DomainError
 from scqsim.hamiltonians import QUBIT_KINDS, QubitParams, induced_charge
 
 REPO = Path(__file__).resolve().parent.parent
@@ -145,6 +145,8 @@ class TestValueParsers:
         ("phi_zpf = 0\n", r"p\.params:1: phi_zpf must be positive"),
         ("C_g = 1e300\nV_g = 1e300\n", r"p\.params:2: V_g gives a non-finite n_g"),
         ("V_g = 1e-3\nn_g = 0.5\n", r"p\.params:2: give V_g or n_g, not both"),
+        ("E_J = 1e-24\nn_zpf = 1e-320\n", r"p\.params:2: n_zpf gives non-finite operator scales"),
+        ("E_LJ0 = 1e300\nE_c = 1e-300\n", r"p\.params:2: E_c gives non-finite operator scales"),
     ])
     def test_params_file_errors_name_their_line(self, text, message, tmp_path):
         with pytest.raises(ConfigError, match=message):
@@ -171,6 +173,11 @@ class TestValueParsers:
                 return
         values = [getattr(params, name) for name in PARAM_NAMES]
         assert all(math.isfinite(v) for v in values if v is not None)
+        try:
+            scales = params.zpf()
+        except DomainError:
+            return
+        assert all(map(math.isfinite, scales)), scales
 
 
 class TestCliDesign:

@@ -114,6 +114,12 @@ class TestBlockEdges:
         assert json_text({}) == naive_json({}) == "{}\n"
         assert json_text({"t": np.array([])}) == naive_json({"t": np.array([])})
 
+    @pytest.mark.parametrize("array", [np.array([3, 1, 2]), np.array([True, False]),
+                                       np.zeros((2, 2)), np.array([1.5], dtype=np.float32)])
+    def test_other_arrays_are_refused_as_json_refuses_them(self, array):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"a": array})
+
 
 cells = st.one_of(st.floats(width=64),
                   st.sampled_from([0.0, -0.0, 1.0, np.nan, -np.nan, np.inf, -np.inf]))
