@@ -28,7 +28,6 @@ from .drives import (
     control_propagator,
     design_drive,
     design_transfer,
-    drive_signal,
     effective_rotating_hamiltonian,
     plan_from_dict,
     plan_to_dict,

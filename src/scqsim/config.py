@@ -27,6 +27,13 @@ from .hamiltonians import DRIVE_SLOTS, QUBIT_KINDS, QubitParams, default_params,
 #: schema default of a key the command cannot run without
 REQUIRED = object()
 
+#: the most one run may ask for (README, "Limits"): Fock levels, time steps,
+#: and amplitudes of a simulate run's state trajectory ((steps + 1) * levels);
+#: each run at these caps stays within about 0.25 GB
+MAX_FOCK_LEVELS = 200
+MAX_STEPS = 500_000
+MAX_STATE_AMPLITUDES = 5_000_000
+
 #: accepted values of each enumerated kind
 CHOICES = {
     "kind": QUBIT_KINDS,
@@ -64,7 +71,7 @@ COMMAND_KEYS = {
         "psi0": ("state", REQUIRED),
         "psif": ("state", REQUIRED),
         "tf": ("positive_float", REQUIRED),
-        "steps": ("positive_int", "2000"),
+        "steps": ("steps", "2000"),
         "substeps": ("positive_int", None),  # validated, no effect
         "params": ("path", None),
         "out": ("str", None),
@@ -76,7 +83,7 @@ COMMAND_KEYS = {
         "alpha": ("positive_float", REQUIRED),
         "beta": ("positive_float", REQUIRED),
         "dt": ("positive_float", REQUIRED),
-        "steps": ("positive_int", "20000"),
+        "steps": ("steps", "20000"),
         "integrator": ("integrator", "fixed_rk4"),
         "params": ("path", None),
         "out": ("str", None),
@@ -170,6 +177,8 @@ def parse_model_spec(text: str) -> tuple[str, Optional[int]]:
             raise ConfigError(f"bad Fock level count in model {text!r}") from None
         if n < 4:
             raise ConfigError("fock model needs at least 4 levels")
+        if n > MAX_FOCK_LEVELS:
+            raise ConfigError(f"fock model takes at most {MAX_FOCK_LEVELS} levels, not {n}")
         return "fock", n
     raise ConfigError(f"unknown model {text!r} (expected approx, exact2 or fock:N)")
 
@@ -211,10 +220,12 @@ def _convert(kind: str, key: str, value: str, where: str):
             if not (math.isfinite(x) and x > 0):
                 raise ConfigError(f"{key} must be a positive finite number")
             return x
-        if kind == "positive_int":
+        if kind in ("positive_int", "steps"):
             n = int(value)
             if n < 1:
                 raise ConfigError(f"{key} must be a positive integer")
+            if kind == "steps" and n > MAX_STEPS:
+                raise ConfigError(f"{key} must be at most {MAX_STEPS}, not {n}")
             return n
         if kind == "model":
             return parse_model_spec(value)
@@ -310,13 +321,14 @@ def resolve(command: str, entries, where: str, base_dir: Path = Path()) -> RunCo
     ``base_dir``.
     """
     schema = COMMAND_KEYS[command]
-    seen = {}
+    seen, locations = {}, {}
     for location, key, value in entries:
         if key not in schema:
             raise ConfigError(f"{location}: unknown key {key!r} for command {command!r}")
         if key in seen:
             raise ConfigError(f"{location}: duplicate key {key!r}")
         seen[key] = _convert(schema[key][0], key, value, location)
+        locations[key] = location
     missing = [k for k, (_, default) in schema.items() if default is REQUIRED and k not in seen]
     if missing:
         raise ConfigError(f"{where}: missing required keys {missing} for {command!r}")
@@ -334,6 +346,12 @@ def resolve(command: str, entries, where: str, base_dir: Path = Path()) -> RunCo
         if cfg.dt is None:
             cfg.dt = cfg.t_final / 2000.0
             defaults["dt"] = "t_final / 2000"
+        levels = cfg.n_levels or 2
+        limit = min(MAX_STEPS, MAX_STATE_AMPLITUDES // levels - 1)
+        if not cfg.t_final / cfg.dt < limit + 0.5:
+            raise ConfigError(f"{locations.get('dt', locations['t_final'])}: t_final / dt is "
+                              f"{cfg.t_final / cfg.dt:.6g} steps; at most {limit} with "
+                              f"{levels} levels")
         cfg.steps = max(1, round(cfg.t_final / cfg.dt))
         if abs(cfg.steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(f"{where}: t_final = {cfg.t_final!r} is not a whole number "

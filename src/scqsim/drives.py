@@ -18,7 +18,7 @@ in J per drive unit, (ax, ay, az) from _AXES: (1/8, 1/4, 1/8) for charge,
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -235,15 +235,6 @@ def control_propagator(plan: DrivePlan, t: float) -> np.ndarray:
     """
     wx, wy, wz = reconstruct_rotation(plan)
     return matrix_exponential(-0.5j * t * (wx * SIGMA_X + wy * SIGMA_Y + wz * SIGMA_Z))
-
-
-def drive_signal(plan: DrivePlan) -> Callable[[float], float]:
-    """Physical control signal amp * sin(omega_c t + lambda) + dc."""
-
-    def signal(t: float) -> float:
-        return plan.amplitude * math.sin(plan.omega_c * t + plan.lam) + plan.dc_offset
-
-    return signal
 
 
 def bloch_fidelity(r, rf) -> float:

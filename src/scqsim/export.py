@@ -1,12 +1,16 @@
 """Deterministic CSV / JSON serialization of trajectories and feedback runs.
 
-Floats are written with repr(), the shortest representation that round-trips,
-so identical runs produce byte-identical files. Lines end with LF.
+Floats are written as repr() writes them, the shortest decimal that reads
+back to the same double, so identical runs produce byte-identical files.
+Lines end with LF.
 
-One cell formatter serves both formats. Rows go out in blocks of BLOCK_ROWS;
-within a block each distinct 64-bit pattern is formatted once (repr depends
-only on a float's bits), the block's text is assembled by %-formats and
-written with one write call.
+The text comes from ``floattext.cell_words``, a vectorised Schubfach
+formatter (R. Giulietti, "The Schubfach way to render doubles", 2020) that
+lays each cell's repr() text out in four uint64 words with NUL padding; one
+``bytes.translate`` per write call deletes the padding. A CSV block formats
+at most as many cells as BLOCK_ROWS fresh rows hold and goes out BLOCK_ROWS
+rows per write. JSON float columns go out in blocks of ``8 * BLOCK_ROWS``
+cells.
 """
 
 import json
@@ -21,11 +25,11 @@ from .lyapunov import LyapunovRun
 TRAJECTORY_HEADER = ("t", "x", "y", "z", "sx", "sy", "sz", "norm")
 LYAPUNOV_HEADER = ("t", "x", "y", "z", "V", "I", "gamma")
 
-#: rows formatted and written per block; bounds the text held in memory
+#: fresh CSV rows formatted and written per block; bounds the memory a block takes
 BLOCK_ROWS = 256
 
-#: how json spells the floats that repr() writes as nan / inf / -inf
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: the text before a json list's first item and between its items, as one word
+_JSON_OPEN, _JSON_SEPARATOR = np.frombuffer(b"[\n    \0\0,\n    \0\0", dtype="<u8")
 
 
 def _trajectory_columns(traj: BlochTrajectory):
@@ -48,69 +52,71 @@ def _lyapunov_columns(run: LyapunovRun):
     return list(LYAPUNOV_HEADER), columns
 
 
-def _cell_texts(values: np.ndarray, json_style: bool = False) -> np.ndarray:
-    """Text of every cell of a float64 array, as an object array of its shape.
-
-    Each distinct bit pattern is formatted once. Bits, not values, decide:
-    0.0 and -0.0 compare equal but print differently. ``json_style`` spells
-    non-finite cells the way json does.
-    """
-    uniq, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
-    floats = uniq.view(np.float64)
-    texts = list(map(repr, floats.tolist()))
-    if json_style and not np.isfinite(floats).all():
-        texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
-    return np.array(texts, dtype=object)[inverse].reshape(values.shape)
-
-
 def _write_csv(header, columns, stream: IO[str]):
     """CSV with a time column first, one row per sample.
 
     A row whose values after ``t`` have the same bits as the previous row's
     (a frozen state, a converged or frozen feedback tail) reuses that row's
     text, also when the previous row lies in an earlier block; only ``t`` is
-    formatted anew.
+    formatted anew. A block formats at most as many cells as BLOCK_ROWS fresh
+    rows hold, so a block of repeats spans more rows, and its text goes out
+    BLOCK_ROWS rows at a time. Each line is written with its leading newline,
+    the header without one.
     """
-    stream.write(",".join(header) + "\n")
+    from . import floattext  # on first use: its compile time stays out of import
+
+    stream.write(",".join(header))
     times = columns[0]
     values = np.column_stack(columns[1:])
     n_rows, width = values.shape
     bits = values.view(np.int64)
     fresh = np.ones(n_rows, dtype=bool)
     fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    # the row whose text each row reuses: the last fresh row at or before it
-    source = np.maximum.accumulate(np.where(fresh, np.arange(n_rows), 0))
-    line_format = "%s," * (width - 1) + "%s\n"
-    for start in range(0, n_rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n_rows)
-        # the block's fresh rows, and the row its leading repeats reuse
-        needed = fresh[start:stop].copy()
+    budget = BLOCK_ROWS * (1 + width)  # cells a block formats; every row takes 1 or more
+    start = last_fresh = 0
+    while start < n_rows:
+        # the block's fresh rows, and the last fresh row before them, whose
+        # text the block's leading repeats reuse
+        needed = fresh[start:start + budget].copy()
         needed[0] = True
-        payload = _cell_texts(values[source[start:stop][needed]])
-        stamps = _cell_texts(times[start:stop])
-        # pairing t with whole lines saves formatting repeated rows again but
-        # costs a split and a second format, which a block without repeats
-        # does not repay
-        if needed.all():  # no repeats: one format over every cell
-            cells = np.column_stack((stamps, payload))
-            text = ("%s," + line_format) * (stop - start) % tuple(cells.ravel().tolist())
-        else:  # each needed row's line once, then every row is t plus its source's line
-            lines = (line_format * len(payload) % tuple(payload.ravel().tolist())).splitlines(True)
-            pairs = np.column_stack((stamps, np.array(lines, dtype=object)[np.cumsum(needed) - 1]))
-            text = "%s,%s" * (stop - start) % tuple(pairs.ravel().tolist())
-        stream.write(text)
+        stop = start + max(1, np.searchsorted(np.cumsum(1 + width * needed), budget, "right"))
+        needed = needed[:stop - start]
+        sources = start + np.flatnonzero(needed)
+        if not fresh[start]:
+            sources[0] = last_fresh
+        last_fresh = sources[-1]
+        words = floattext.cell_words(np.concatenate((times[start:stop], values[sources].ravel())))
+        stamps, lines = words[:stop - start], words[stop - start:].reshape(-1, width, 4)
+        slot = np.cumsum(needed) - 1  # each row's line among the block's
+        for part in range(0, stop - start, BLOCK_ROWS):
+            rows = slice(part, part + BLOCK_ROWS)
+            cells = np.empty((len(slot[rows]), 1 + width, 4), words.dtype)
+            cells[:, 0] = stamps[rows]
+            cells[:, 1:] = lines[slot[rows]]
+            cells[:, 0, 0] |= ord("\n")
+            cells[:, 1:, 0] |= ord(",")
+            stream.write(floattext.text(cells))
+        start = stop
+    stream.write("\n")
 
 
 def _write_json_column(column: np.ndarray, stream: IO[str]):
     """A float array as a json list nested one level deep (indent=2)."""
+    from . import floattext
+
     if column.size == 0:
         stream.write("[]")
         return
-    separator = "[\n    "
-    for start in range(0, column.size, BLOCK_ROWS):
-        texts = _cell_texts(column[start:start + BLOCK_ROWS], json_style=True).tolist()
-        stream.write(separator + ",\n    ".join(texts))
-        separator = ",\n    "
+    separator = _JSON_OPEN
+    step = 8 * BLOCK_ROWS  # as many cells as a CSV block of 8 columns
+    for start in range(0, column.size, step):
+        block = column[start:start + step]
+        cells = np.empty((block.size, 5), _JSON_OPEN.dtype)
+        cells[:, 0] = _JSON_SEPARATOR
+        cells[0, 0] = separator
+        cells[:, 1:] = floattext.cell_words(block, json_style=True)
+        stream.write(floattext.text(cells))
+        separator = _JSON_SEPARATOR
     stream.write("\n  ]")
 
 

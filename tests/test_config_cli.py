@@ -20,6 +20,9 @@ from scqsim.config import (
     CHOICES,
     COMMAND_KEYS,
     COMMANDS,
+    MAX_FOCK_LEVELS,
+    MAX_STATE_AMPLITUDES,
+    MAX_STEPS,
     parse_bloch_spec,
     parse_config,
     parse_params_file,
@@ -509,3 +512,58 @@ class TestOneFrontEnd:
                 _config_from_args(args)
             except ConfigError:
                 pass
+
+
+class TestLimits:
+    """Caps on what one option can ask for, from both front ends (README, "Limits")."""
+
+    CASES = [  # (command, options over VALID, key named, message)
+        ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS + 1}"}, "model",
+         f"fock model takes at most {MAX_FOCK_LEVELS} levels"),
+        ("drive-run", {"steps": str(MAX_STEPS + 1)}, "steps", f"steps must be at most {MAX_STEPS}"),
+        ("lyapunov", {"steps": str(MAX_STEPS + 1)}, "steps", f"steps must be at most {MAX_STEPS}"),
+        ("simulate", {"t_final": "1e-6", "dt": repr(1e-6 / (MAX_STEPS + 1))}, "dt",
+         f"at most {MAX_STEPS} with 2 levels"),
+        ("simulate", {"t_final": "1e300", "dt": "1e-300"}, "dt", "t_final / dt is inf steps"),
+        ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
+                      "dt": repr(1e-6 / (MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS))}, "dt",
+         f"at most {MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS - 1} with {MAX_FOCK_LEVELS} levels"),
+    ]
+
+    @pytest.mark.parametrize("command, extra, key, message", CASES)
+    def test_above_a_cap_rejected_by_both(self, command, extra, key, message, tmp_path, capsys):
+        options = dict(VALID[command], **extra, out=str(tmp_path / "out"))
+        assert main(cli_args(command, options)) == 2
+        assert f"--{key.replace('_', '-')}: " in capsys.readouterr().err
+        cfg = write(tmp_path, "run.cfg", config_text(command, options))
+        line = 2 + list(options).index(key)
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{line}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}"}),
+        ("drive-run", {"steps": str(MAX_STEPS)}),
+        ("lyapunov", {"steps": str(MAX_STEPS)}),
+        ("simulate", {"t_final": "1e-6", "dt": repr(1e-6 / MAX_STEPS)}),
+        ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
+                      "dt": repr(1e-6 / (MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS - 1))}),
+        # the largest benchmark cases
+        ("simulate", {"model": "fock:40", "t_final": "1e-10"}),
+        ("lyapunov", {"dt": "1e-3", "steps": "20000"}),
+        ("drive-run", {"steps": "20000"}),
+    ])
+    def test_at_a_cap_accepted(self, command, options, tmp_path):
+        cfg = parse_config(write(tmp_path, "run.cfg",
+                                 config_text(command, dict(VALID[command], **options))))
+        rows = cfg.steps + 1
+        assert rows <= MAX_STEPS + 1
+        if cfg.n_levels:
+            assert cfg.n_levels <= MAX_FOCK_LEVELS and rows * cfg.n_levels <= MAX_STATE_AMPLITUDES
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # state spec normalization
+    def test_shipped_configs_within_the_caps(self):
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            cfg = parse_config(path)
+            assert cfg.steps <= MAX_STEPS

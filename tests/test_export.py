@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import lyapunov_columns, naive_csv, naive_json, trajectory_columns
 
-from scqsim import export
+from scqsim import export, floattext
 from scqsim.core import normalize_state
 from scqsim.evolution import TimeGrid, propagate_static
 from scqsim.hamiltonians import build_exact_two_level, build_fock, default_params
@@ -140,3 +140,108 @@ def test_random_arrays_match_naive_writers(data, width, block, sort_times):
         assert csv_text(header, columns) == naive_csv(header, columns)
         data_dict = dict(zip(header, columns))
         assert json_text(data_dict) == naive_json(data_dict)
+
+
+def float_texts(values, json_style=False):
+    """The formatter's text of each cell of a 1-D float64 array, as a list."""
+    words = floattext.cell_words(np.asarray(values, dtype=np.float64), json_style)
+    words[:, 0] |= ord("\n")
+    return floattext.text(words).split("\n")[1:]
+
+
+def repr_texts(values, json_style=False):
+    texts = [repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+    if json_style:
+        spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        texts = [spelled.get(t, t) for t in texts]
+    return texts
+
+
+def assert_repr_identical(values, json_style=False):
+    got, want = float_texts(values, json_style), repr_texts(values, json_style)
+    assert len(got) == len(want)
+    mismatches = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not mismatches, mismatches[:10]
+
+
+def bit_patterns(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestFloatText:
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20201127)
+        for chunk in range(8):  # 8 * 2**17 > 10**6 patterns
+            bits = bit_patterns(rng.integers(0, 2**64, 2**17, dtype=np.uint64))
+            assert_repr_identical(bits, json_style=chunk == 0)
+
+    def test_scaled_normals(self):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal(2**16) * 10.0 ** rng.integers(-40, 40, 2**16)
+        narrow = rng.standard_normal(2**12).astype(np.float32)
+        assert_repr_identical(np.concatenate([values, np.round(values, 3), narrow]))
+
+    def test_lowest_and_highest_mantissa_of_every_binade(self):
+        exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+        mantissas = np.array([0, 1, 2, 3, 2**51, 2**52 - 3, 2**52 - 2, 2**52 - 1], dtype=np.uint64)
+        bits = (exponents[:, None] | mantissas).ravel()
+        for json_style in (False, True):
+            assert_repr_identical(bit_patterns(np.concatenate([bits, bits | np.uint64(2**63)])),
+                                  json_style)
+
+    def test_subnormals(self):
+        smallest = bit_patterns(np.arange(1, 2**17, dtype=np.uint64))  # exhaustive from 5e-324
+        largest = bit_patterns(2**52 - np.arange(1, 2**12, dtype=np.uint64))
+        assert_repr_identical(np.concatenate([smallest, largest, -smallest[:100]]))
+        named = [5e-324, 1e-323, 1.5e-323, 5e-323, 1e-322, 2.225073858507201e-308,
+                 2.2250738585072014e-308]
+        assert float_texts(named) == ["5e-324", "1e-323", "1.5e-323", "5e-323", "1e-322",
+                                      "2.225073858507201e-308", "2.2250738585072014e-308"]
+
+    def test_powers_of_two_and_ten(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        neighbours = [np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)]
+        assert_repr_identical(np.concatenate([twos, tens, *neighbours]))
+        assert float_texts([1e22, 1e23, 2.0**53, 2.0**63]) == [
+            "1e+22", "1e+23", "9007199254740992.0", "9.223372036854776e+18"]
+
+    def test_layout_switch_points(self):
+        values = [1e-5, 1e-4, 1e15, 1e16, 1234567890123456.0, 12345678901234567.0,
+                  0.00012345678901234567, 9999999999999998.0, 0.1, 1.0, 100.0, 123.456]
+        neighbours = [np.nextafter(values, np.inf), np.nextafter(values, 0.0)]
+        assert_repr_identical(np.concatenate([values, *neighbours]))
+        assert float_texts(values[:6]) == ["1e-05", "0.0001", "1000000000000000.0", "1e+16",
+                                           "1234567890123456.0", "1.2345678901234568e+16"]
+
+    def test_zeros_and_non_finite_cells(self):
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+        assert float_texts(values) == ["0.0", "-0.0", "nan", "nan", "inf", "-inf"]
+        assert float_texts(values, json_style=True) == [
+            "0.0", "-0.0", "NaN", "NaN", "Infinity", "-Infinity"]
+        payloads = bit_patterns([0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0000,
+                                 0x7FFF_FFFF_FFFF_FFFF])
+        assert float_texts(payloads) == ["nan"] * 3
+
+    def test_shape_and_separator_slot(self):
+        values = np.arange(6.0).reshape(2, 3)
+        words = floattext.cell_words(values)
+        assert words.shape == (2, 3, 4)
+        assert not (words[..., 0] & 0xFF).any()
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=50),
+           st.lists(st.integers(0, 2**64 - 1), max_size=50))
+    def test_hypothesis_against_repr(self, floats, bits):
+        for json_style in (False, True):
+            assert_repr_identical(np.concatenate([floats, bit_patterns(bits)]), json_style)
+
+
+def test_repeated_rows_span_several_blocks():
+    n = 40
+    values = np.random.default_rng(7).standard_normal((n, 3))
+    values[5:] = values[5]  # a frozen tail of many blocks' length
+    values[30] = -values[30]
+    header, columns = ["t", "a", "b", "c"], [np.arange(n) * 1e-3, *values.T]
+    with mock.patch.object(export, "BLOCK_ROWS", 2):
+        assert csv_text(header, columns) == naive_csv(header, columns)
