@@ -213,7 +213,11 @@ def rwa_hamiltonian(plan: DrivePlan, delta_omega: float, t: float) -> Hamiltonia
     phase = delta_omega * t + plan.lam
     Q = math.sin(phase)
     I = math.cos(phase)
-    matrix = plan.k * plan.amplitude * (ax * Q * SIGMA_X - ay * I * SIGMA_Y + az * Q * SIGMA_Z)
+    # scale times ax first, then the ratios (2, 1 or 4, -4): powers of two, so the
+    # order changes no bits but where a product is subnormal, and there it matches
+    # the per-kind forms above
+    matrix = (plan.k * plan.amplitude * ax) * (Q * SIGMA_X - ay / ax * I * SIGMA_Y
+                                               + az / ax * Q * SIGMA_Z)
     return HamiltonianOperator(matrix, "approximate")
 
 

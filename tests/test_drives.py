@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
@@ -175,9 +175,11 @@ class TestRwaHamiltonian:
     @given(st.sampled_from(sorted(DRIVE_SLOTS)), unit_bloch_vectors(),
            st.floats(min_value=-1e11, max_value=1e11),
            st.floats(min_value=0.0, max_value=1e-12))
+    @example("charge", np.array([3.60535685e-296, 3.60535685e-296, 1.0]), 0.0, 0.0)  # subnormal
     def test_axes_table_matches_per_kind_formulas(self, kind, n_hat, delta_omega, t):
-        # the literal per-kind forms the (ax, ay, az) table replaced; equal values,
-        # while the sign of a zero imaginary part may differ
+        # the literal per-kind forms the (ax, ay, az) table replaced; equal bits,
+        # also where products are subnormal, while the sign of a zero imaginary
+        # part may differ
         if n_hat[1] == 0.0 and n_hat[0] != 0.0:
             return
         plan = design_drive(kind, n_hat, 1e12, default_params(kind))

@@ -1,10 +1,11 @@
 """The CSV and JSON writers against per-cell repr / json oracles, byte for byte.
 
-The writers format rows in blocks of export.BLOCK_ROWS and each distinct bit
-pattern of a block once; the edge cases sit on and across block boundaries.
+The writers format blocks of at most export.BLOCK_CELLS cells in one reused
+workspace; the edge cases sit on and across block boundaries.
 """
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -70,9 +71,16 @@ class TestLyapunovJson:
         assert '"converged": ' in text and '"final_error": ' in text
 
 
+def edge_block():
+    """The row ``block`` of ``edge_columns``: its repeated run, rows block - 5
+    to block + 5, crosses the end of the first block. A fresh row takes 5
+    cells, a repeated one 1, and the repeat at row 51 saves 4 cells."""
+    return (export.BLOCK_CELLS + 4) // 5 + 4
+
+
 def edge_columns():
     """Columns whose rows hit every edge of the block writer."""
-    block = export.BLOCK_ROWS
+    block = edge_block()
     n = 2 * block + 37  # not a multiple of the block size
     values = np.random.default_rng(5).standard_normal((n, 4))
     values[block - 5:block + 6] = values[block - 5]  # a repeated run across a boundary
@@ -93,7 +101,7 @@ class TestBlockEdges:
         text = csv_text(header, columns)
         assert text == naive_csv(header, columns)
         lines = text.splitlines()[1:]
-        block = export.BLOCK_ROWS
+        block = edge_block()
         run = {line.split(",", 1)[1] for line in lines[block - 5:block + 6]}
         assert len(run) == 1
         assert lines[10].split(",")[1:3] == ["0.0", lines[9].split(",")[2]]
@@ -127,7 +135,7 @@ cells = st.one_of(st.floats(width=64),
 
 @settings(max_examples=150)
 @given(data=st.data(), width=st.integers(1, 4),
-       block=st.sampled_from([1, 2, 3, 5, export.BLOCK_ROWS]), sort_times=st.booleans())
+       block=st.sampled_from([1, 2, 3, 5, 9, export.BLOCK_CELLS]), sort_times=st.booleans())
 def test_random_arrays_match_naive_writers(data, width, block, sort_times):
     pool = data.draw(hnp.arrays(np.float64, (3, width), elements=cells))
     picks = data.draw(st.lists(st.integers(0, 2), max_size=30))  # repeats are frequent
@@ -136,7 +144,7 @@ def test_random_arrays_match_naive_writers(data, width, block, sort_times):
         times = np.sort(times)
     header = ["t"] + [f"c{k}" for k in range(width)]
     columns = [times, *pool[picks].T]
-    with mock.patch.object(export, "BLOCK_ROWS", block):
+    with mock.patch.object(export, "BLOCK_CELLS", block):
         assert csv_text(header, columns) == naive_csv(header, columns)
         data_dict = dict(zip(header, columns))
         assert json_text(data_dict) == naive_json(data_dict)
@@ -243,5 +251,59 @@ def test_repeated_rows_span_several_blocks():
     values[5:] = values[5]  # a frozen tail of many blocks' length
     values[30] = -values[30]
     header, columns = ["t", "a", "b", "c"], [np.arange(n) * 1e-3, *values.T]
-    with mock.patch.object(export, "BLOCK_ROWS", 2):
+    with mock.patch.object(export, "BLOCK_CELLS", 8):  # two fresh rows
         assert csv_text(header, columns) == naive_csv(header, columns)
+
+
+LONG = -1.2345678901234567e-123  # negative, 17 digits, exponent form: 24 characters
+SHORT = [0.0, -0.0, 1.0, np.nan, np.inf, 5e-324]
+
+
+@pytest.mark.parametrize("budget", [None, 7, 64])
+def test_short_texts_after_long_ones_leave_no_stale_bytes(budget):
+    """The workspace's words for short texts in the last, partial block overwrite
+    every byte of the long texts earlier blocks left there."""
+    with mock.patch.object(export, "BLOCK_CELLS", budget or export.BLOCK_CELLS):
+        cells = export.BLOCK_CELLS
+        rows = 2 * (cells // 3) + 7  # three cells a row: two full blocks, a partial one
+        long = LONG * np.random.default_rng(9).uniform(1.0, 2.0, (rows, 3))
+        long[-7:] = np.resize(SHORT, (7, 3))
+        header = ["t", "a", "b"]
+        columns = list(long.T)
+        assert csv_text(header, columns) == naive_csv(header, columns)
+        column = LONG * np.random.default_rng(10).uniform(1.0, 2.0, 2 * cells + 13)
+        column[-13:] = np.resize(SHORT, 13)
+        data = {"t": column}
+        assert json_text(data) == naive_json(data)
+
+
+class Discard(io.TextIOBase):
+    def write(self, s):
+        return len(s)
+
+
+@pytest.mark.parametrize("csv, bound_kib", [("trajectory", 1620), ("feedback", 2768)])
+def test_writer_peak_memory(csv, bound_kib):
+    """tracemalloc peak of one CSV write to a discarding stream, after a warm-up.
+
+    A 2001 x 8 trajectory fits one block; a 20001 x 7 feedback run takes 9.
+    The parent writer, 256-row blocks, peaked at 574 and 1364 KiB; 2048-row
+    blocks without a workspace at 2665 and 4172 KiB.
+    """
+    if csv == "trajectory":
+        traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
+                                TimeGrid(0.0, 5e-15, 2001))
+        write = lambda: export.write_trajectory_csv(traj, Discard())
+    else:
+        run = simulate_closed_loop(R0, np.array([0.0, 0.0, 1.0]), Gains(2.0, 10.0),
+                                   BilinearParams.from_qubit(default_params("lcjj")),
+                                   TimeGrid(0.0, 1e-3, 20001), integrator="fixed_rk4")
+        write = lambda: export.write_lyapunov_csv(run, Discard())
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kib * 1024
