@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/integration failure,
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -138,12 +139,14 @@ _OPTION_HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand parser, one option per schema key of config.COMMAND_KEYS.
 
     A command's help is its run function's docstring. Options keep their
     text: values are converted and checked by config.resolve, the path
-    config files take too.
+    config files take too. The schema is fixed, so one parser serves every
+    call in a process.
     """
     parser = argparse.ArgumentParser(
         prog="scqsim",

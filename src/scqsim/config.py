@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import scaled_norm
 from .errors import ConfigError, DomainError
 from .hamiltonians import DRIVE_SLOTS, QUBIT_KINDS, QubitParams, default_params, induced_charge
 
@@ -129,12 +130,13 @@ class RunConfig:
 
 def _normalized(vec: np.ndarray, text: str, what: str) -> np.ndarray:
     """``vec`` scaled to unit norm, with a warning when the norm is off by more than 1e-6."""
-    norm = np.linalg.norm(vec)
+    scaled, norm, exponent = scaled_norm(vec)
     if not (math.isfinite(norm) and norm > 0):
         raise ConfigError(f"{what} {text!r} needs a finite, non-zero norm")
-    if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"{what} norm {norm:.9g} differs from 1; normalizing")
-    return vec / norm
+    full = norm * 2 * 2.0 ** (exponent - 1)  # the norm of vec; inf beyond the float range
+    if abs(full - 1.0) > 1e-6:
+        warnings.warn(f"{what} norm {full:.9g} differs from 1; normalizing")
+    return scaled / norm
 
 
 def parse_state_spec(text: str) -> np.ndarray:

@@ -24,6 +24,16 @@ NORM_TOL = 1e-6
 HERMITICITY_TOL = 1e-12
 
 
+def scaled_norm(x: np.ndarray):
+    """(s, ||s||, e), s = x / 2**e with e the frexp exponent of the largest part of
+    the contiguous float array ``x``: ||s|| cannot overflow or underflow, and
+    s / ||s|| is x / ||x|| bit for bit wherever the latter is computable."""
+    parts = x.view(float)
+    exponent = int(np.frexp(np.abs(parts).max())[1])
+    scaled = np.ldexp(parts, -exponent).view(x.dtype)
+    return scaled, float(np.linalg.norm(scaled)), exponent
+
+
 def normalize_state(amplitudes) -> np.ndarray:
     """Return a unit-norm complex state vector built from `amplitudes`."""
     psi = np.asarray(amplitudes, dtype=complex).ravel()
@@ -31,7 +41,7 @@ def normalize_state(amplitudes) -> np.ndarray:
         raise InvalidStateError("state needs at least two amplitudes")
     if not np.all(np.isfinite(psi.view(float))):
         raise NumericError("state amplitudes must be finite")
-    norm = np.linalg.norm(psi)
+    psi, norm, _ = scaled_norm(psi)
     if norm == 0:
         raise InvalidStateError("cannot normalize the zero vector")
     return psi / norm

@@ -1,11 +1,12 @@
 """Time evolution of states and density matrices; Bloch trajectory assembly.
 
 Static Hamiltonians propagate through an eigendecomposition (exact up to
-roundoff), and so does any generator A f(t) with constant A, given the
-integral of f (the drive replays). Generic time-dependent Hamiltonians use
-fixed-step classical RK4; the step may be subdivided (``substeps``) without
-changing the output sampling. Nothing is renormalized: norm drift is checked
-on every path and is logged, not hidden.
+roundoff), and so do density matrices under a static H and any generator
+A f(t) with constant A, given the integral of f (the drive replays). A generic
+time-dependent H takes the fourth-order commutator-free Magnus step CF4, which
+may be subdivided (``substeps``) without changing the output sampling. Every
+path is unitary by construction. Nothing is renormalized: norm drift is still
+checked on every path and is logged, not hidden.
 """
 
 import logging
@@ -99,36 +100,17 @@ def _as_matrix(H: Union[HamiltonianOperator, np.ndarray]) -> np.ndarray:
     return np.asarray(H, dtype=complex)
 
 
-def _qubit_readout(states: np.ndarray):
-    """(bloch, expectations, leakage, norms) from a (n_samples, dim) state array."""
-    norms = np.linalg.norm(states, axis=1)
-    norm_sq = norms**2
-    a = states[:, 0]
-    b = states[:, 1]
-    w = np.conj(a) * b
-    sx = 2 * w.real / norm_sq
-    sy = 2 * w.imag / norm_sq
-    sz = (np.abs(a) ** 2 - np.abs(b) ** 2) / norm_sq
-    captured = (np.abs(a) ** 2 + np.abs(b) ** 2) / norm_sq
+def _readout(times, p0, p1, coherence, total, norms, dim, **history) -> BlochTrajectory:
+    """Trajectory of a dim-level history from the populations p0, p1 of |0>, |1>,
+    their coherence conj(a0) a1 = rho_10 and the total population, per sample."""
+    sx = 2 * coherence.real / total
+    sy = 2 * coherence.imag / total
+    sz = (p0 - p1) / total
+    captured = (p0 + p1) / total
     bloch = np.column_stack([sx, sy, sz]) / captured[:, None]
-    expectations = {"sx": sx, "sy": sy, "sz": sz}
-    leakage = 1.0 - captured if states.shape[1] > 2 else None
-    return bloch, expectations, leakage, norms
-
-
-def _density_readout(densities: np.ndarray):
-    traces = np.einsum("kii->k", densities).real
-    a00 = densities[:, 0, 0].real
-    a11 = densities[:, 1, 1].real
-    a01 = densities[:, 0, 1]
-    sx = 2 * a01.real / traces
-    sy = -2 * a01.imag / traces  # rho[0,1] = (x - i y)/2
-    sz = (a00 - a11) / traces
-    captured = (a00 + a11) / traces
-    bloch = np.column_stack([sx, sy, sz]) / captured[:, None]
-    expectations = {"sx": sx, "sy": sy, "sz": sz}
-    leakage = 1.0 - captured if densities.shape[1] > 2 else None
-    return bloch, expectations, leakage, traces
+    return BlochTrajectory(times, bloch, expectations={"sx": sx, "sy": sy, "sz": sz},
+                           leakage=1.0 - captured if dim > 2 else None, norms=norms,
+                           **history)
 
 
 def _check_drift(drift: float, what: str):
@@ -141,23 +123,32 @@ def _check_drift(drift: float, what: str):
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
 
 
+def _eigen_phases(matrix: np.ndarray, dim: int, elapsed):
+    """(w, v, exp(-i w elapsed_k / hbar)) of the Hermitian dim x dim ``matrix``, w, v = eigh."""
+    if matrix.shape != (dim, dim):
+        raise DimensionMismatchError(f"Hamiltonian shape {matrix.shape} does not match dim {dim}")
+    w, v = np.linalg.eigh(matrix)
+    return w, v, np.exp(-1j * np.outer(elapsed, w) / HBAR)
+
+
+def _state_trajectory(times: np.ndarray, states: np.ndarray,
+                      psi0: np.ndarray) -> BlochTrajectory:
+    """Readout of a state history, with its norm drift against ||psi0|| checked."""
+    norms = np.linalg.norm(states, axis=1)
+    _check_drift(float(np.abs(norms - np.linalg.norm(psi0)).max()), "state norm")
+    a, b = states[:, 0], states[:, 1]
+    return _readout(times, np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, norms**2, norms,
+                    states.shape[1], states=states)
+
+
 def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
                      elapsed: np.ndarray) -> BlochTrajectory:
     """States exp(-i matrix elapsed_k / hbar) psi0; ``elapsed`` is the accumulated
     time per sample (t - t0 for a static generator, the integral of f for matrix * f(t))."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
-    if matrix.shape[0] != psi0.size:
-        raise DimensionMismatchError(
-            f"Hamiltonian dim {matrix.shape[0]} does not match state dim {psi0.size}"
-        )
-    w, v = np.linalg.eigh(matrix)
-    coeff = v.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(elapsed, w) / HBAR)
-    states = (phases * coeff) @ v.T
-    bloch, expectations, leakage, norms = _qubit_readout(states)
-    _check_drift(float(np.abs(norms - np.linalg.norm(psi0)).max()), "state norm")
-    return BlochTrajectory(times, bloch, states=states,
-                           expectations=expectations, leakage=leakage, norms=norms)
+    _, v, phases = _eigen_phases(matrix, psi0.size, elapsed)
+    states = (phases * (v.conj().T @ psi0)) @ v.T
+    return _state_trajectory(times, states, psi0)
 
 
 def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
@@ -168,69 +159,60 @@ def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
 
 def evolve_time_dependent(h_of_t, psi0, grid: TimeGrid,
                           substeps: int = 1) -> BlochTrajectory:
-    """Integrate i hbar dpsi/dt = H(t) psi with fixed-step RK4.
+    """Integrate i hbar dpsi/dt = H(t) psi with the commutator-free Magnus step CF4.
 
-    ``h_of_t`` may be a callable t -> matrix, a HamiltonianOperator or a bare
-    matrix (treated as constant). Raises IntegrationError when the norm
-    drifts by more than ``DRIFT_ABORT``.
+    A step of h = dt / substeps takes H1, H2 at the Gauss-Legendre nodes
+    1/2 -+ r, r = sqrt(3)/6, and applies exp(-i h ((1/4 + r) H1 + (1/4 - r) H2) / hbar),
+    then the exponential with the weights swapped (Alvermann & Fehske, J. Comput.
+    Phys. 230, 5930 (2011)): fourth order, unitary, exact for a constant H.
+    The Magnus series converges only for h ||H|| / hbar < pi (Moan & Niesen,
+    Found. Comput. Math. 8, 291 (2008)), H shifted by the identity that
+    minimizes its norm; a step whose two exponents rotate by that much raises
+    IntegrationError. ``h_of_t`` may be a callable t -> matrix, a
+    HamiltonianOperator or a bare matrix (treated as constant).
     """
     if not callable(h_of_t):
         constant = _as_matrix(h_of_t)
         h_of_t = lambda t: constant  # noqa: E731
-    psi = np.asarray(psi0, dtype=complex).ravel()
+    psi0 = psi = np.asarray(psi0, dtype=complex).ravel()
     if substeps < 1:
         raise DomainError("substeps must be >= 1")
     h = grid.dt / substeps
+    r = np.sqrt(3) / 6
     states = np.empty((grid.steps + 1, psi.size), dtype=complex)
     states[0] = psi
-    pref = -1j / HBAR
     for k in range(grid.steps):
         base = grid.t0 + k * grid.dt
         for j in range(substeps):
             t = base + j * h
-            mid = h_of_t(t + 0.5 * h)
-            k1 = pref * (h_of_t(t) @ psi)
-            k2 = pref * (mid @ (psi + 0.5 * h * k1))
-            k3 = pref * (mid @ (psi + 0.5 * h * k2))
-            k4 = pref * (h_of_t(t + h) @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            H1, H2 = h_of_t(t + (0.5 - r) * h), h_of_t(t + (0.5 + r) * h)
+            angle = 0.0
+            for exponent in ((0.25 + r) * H1 + (0.25 - r) * H2,
+                             (0.25 - r) * H1 + (0.25 + r) * H2):
+                w, v, phases = _eigen_phases(exponent, psi.size, h)
+                angle += 0.5 * (w[-1] - w[0]) * h / HBAR  # an identity part is a phase
+                psi = v @ (phases[0] * (v.conj().T @ psi))
+            if angle >= np.pi:
+                raise IntegrationError(
+                    f"step angle h ||H|| / hbar = {angle:.3g} at t = {t:.6g} s reaches pi, "
+                    f"the Magnus convergence bound (dt = {grid.dt:.3e} s, {substeps} "
+                    "substeps); reduce dt or raise substeps")
         states[k + 1] = psi
-    norms = np.linalg.norm(states, axis=1)
-    _check_drift(float(np.abs(norms - 1.0).max()), "state norm")
-    bloch, expectations, leakage, _ = _qubit_readout(states)
-    return BlochTrajectory(grid.times, bloch, states=states,
-                           expectations=expectations, leakage=leakage, norms=norms)
+    return _state_trajectory(grid.times, states, psi0)
 
 
-def evolve_master(rho0, H: Union[HamiltonianOperator, np.ndarray], grid: TimeGrid,
-                  substeps: int = 1) -> BlochTrajectory:
-    """Integrate the closed-system master equation drho/dt = (i/hbar)[rho, H]."""
-    matrix = _as_matrix(H)
+def evolve_master(rho0, H: Union[HamiltonianOperator, np.ndarray],
+                  grid: TimeGrid) -> BlochTrajectory:
+    """Evolve the closed-system master equation drho/dt = (i/hbar)[rho, H], exactly in
+    the eigenbasis of H: rho'_ij(t) = rho'_ij(t0) exp(-i (w_i - w_j)(t - t0) / hbar)."""
     rho = check_density(rho0, tol=1e-9)
-    if rho.shape != matrix.shape:
-        raise DimensionMismatchError("rho and H must have equal shapes")
-    if substeps < 1:
-        raise DomainError("substeps must be >= 1")
-    h = grid.dt / substeps
-    pref = 1j / HBAR
-
-    def rhs(r):
-        return pref * (r @ matrix - matrix @ r)
-
-    densities = np.empty((grid.steps + 1,) + rho.shape, dtype=complex)
-    densities[0] = rho
-    for k in range(grid.steps):
-        for _ in range(substeps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * h * k1)
-            k3 = rhs(rho + 0.5 * h * k2)
-            k4 = rhs(rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        densities[k + 1] = rho
-    bloch, expectations, leakage, traces = _density_readout(densities)
+    _, v, phases = _eigen_phases(_as_matrix(H), rho.shape[0], grid.times - grid.t0)
+    rotated = (v.conj().T @ rho @ v) * (phases[:, :, None] * phases.conj()[:, None, :])
+    densities = v @ rotated @ v.conj().T
+    traces = np.einsum("kii->k", densities).real
     _check_drift(float(np.abs(traces - 1.0).max()), "density trace")
-    return BlochTrajectory(grid.times, bloch, densities=densities,
-                           expectations=expectations, leakage=leakage, norms=traces)
+    return _readout(grid.times, densities[:, 0, 0].real, densities[:, 1, 1].real,
+                    densities[:, 1, 0], traces, traces, rho.shape[0], densities=densities)
 
 
 def observable_series(traj: BlochTrajectory, X) -> np.ndarray:

@@ -206,7 +206,7 @@ def test_10_numerical_hygiene():
         grid = TimeGrid(0.0, 2.5e-15, 2000)
         static = propagate_static(H, psi0, grid)
         rk4 = evolve_time_dependent(H, psi0, grid, substeps=4)
-        master = evolve_master(density_from_state(psi0), H, grid, substeps=4)
+        master = evolve_master(density_from_state(psi0), H, grid)
         assert np.abs(static.norms - 1.0).max() < 1e-10
         assert np.abs(rk4.norms - 1.0).max() < 1e-8
         assert np.abs(master.norms - 1.0).max() < 1e-10

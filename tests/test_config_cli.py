@@ -121,6 +121,20 @@ class TestValueParsers:
         with pytest.raises(ConfigError):
             parse_state_spec("1,0")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1e200,0;1,0", [1, 1e-200]),  # the squared norm overflows
+        ("1e-200,0;1e-200,0", [2 ** -0.5, 2 ** -0.5]),  # the squared norm underflows
+    ])
+    def test_state_spec_normalizes_across_the_float_range(self, text, expected):
+        with pytest.warns(UserWarning, match="normalizing"):
+            psi = parse_state_spec(text)
+        assert np.allclose(psi, expected, rtol=1e-15, atol=0)
+
+    def test_bloch_spec_normalizes_across_the_float_range(self):
+        with pytest.warns(UserWarning, match="norm 1.41421356e[+]300 differs"):
+            r = parse_bloch_spec("1e300,0,1e300")
+        assert np.allclose(r, [2 ** -0.5, 0, 2 ** -0.5])
+
     def test_bloch_spec(self):
         r = parse_bloch_spec("0,0,1")
         assert np.allclose(r, [0, 0, 1])
@@ -375,6 +389,31 @@ class TestCliPlumbing:
         rc = main(["simulate", "--qubit", "charge", "--t-final", "1e-13",
                    "--out", str(out)])
         assert rc == 4
+
+    def test_parser_reuse_writes_what_a_fresh_parser_writes(self, capsys):
+        # main() reuses one cached parser per process
+        runs = [["simulate", "--qubit", "charge", "--bogus"],
+                ["simulate", "--qubit", "charge", "--t-final", "1e-13"],
+                ["design", "--qubit", "charge", "--psi0", "1,0;0,0",
+                 "--psif", "0.6,0;0,0.8", "--tf", "1e-12", "--format", "json"]]
+
+        def run(args):
+            try:
+                rc = main(args)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        alone = []
+        for args in runs:
+            build_parser.cache_clear()
+            alone.append(run(args))
+        build_parser.cache_clear()
+        together = [run(args) for args in runs]
+        assert together == alone
+        assert [rc for rc, _, _ in alone] == [2, 0, 0]
+        assert build_parser() is build_parser()
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ["lyapunov", "--r0", "0.4444,-0.8889,-0.1111", "--rf", "0,0,1",

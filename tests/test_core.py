@@ -67,6 +67,20 @@ class TestBlochFromState:
         assert np.allclose(bloch_from_state(state_from_bloch(r)), r, atol=1e-7)
 
 
+class TestNormalizeState:
+    def test_large_amplitude_does_not_overflow(self):
+        # the squared norm 1e400 overflows; scaling first keeps the small part
+        psi = normalize_state([1e200, 1])
+        assert psi[0] == 1.0 and psi[1] == pytest.approx(1e-200, rel=1e-15)
+
+    def test_tiny_amplitudes_do_not_underflow(self):
+        assert np.allclose(normalize_state([1e-200, 1e-200j]), np.array([1, 1j]) / np.sqrt(2))
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(InvalidStateError):
+            normalize_state([0, 0])
+
+
 class TestDensityFromBloch:
     def test_north_pole(self):
         assert np.allclose(density_from_bloch([0, 0, 1]), [[1, 0], [0, 0]])

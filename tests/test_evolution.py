@@ -3,11 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oracles import naive_trajectory_csv
 
 from scqsim.constants import HBAR
-from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Z, density_from_state, normalize_state
+from scqsim.core import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    density_from_state,
+    normalize_state,
+)
 from scqsim.errors import (
     DimensionMismatchError,
     DomainError,
@@ -126,6 +134,48 @@ class TestTimeDependent:
         with pytest.raises(IntegrationError, match="dt"):
             evolve_time_dependent(H, PSI0, TimeGrid(0.0, 1e-13, 50))
 
+    def test_magnus_bound_raises_for_a_callable(self):
+        # h ||H(t)|| / hbar about 9.5, with the drive varying inside the step
+        h_of_t = lambda t: 1e-20 * (np.cos(1e13 * t) * SIGMA_X + SIGMA_Z)  # noqa: E731
+        with pytest.raises(IntegrationError, match=r"Magnus convergence bound \(dt = 1\.000e-13"):
+            evolve_time_dependent(h_of_t, PSI0, TimeGrid(0.0, 1e-13, 50))
+
+    def test_identity_part_does_not_trip_the_magnus_bound(self):
+        # 1e-20 I alone is about 9.5 per step, but only a global phase
+        grid = TimeGrid(0.0, 1e-13, 50)
+        shifted = evolve_time_dependent(lambda t: 1e-20 * IDENTITY_2 + 1e-23 * SIGMA_X, PSI0, grid)
+        plain = evolve_time_dependent(lambda t: 1e-23 * SIGMA_X, PSI0, grid)
+        assert np.abs(shifted.bloch - plain.bloch).max() < 1e-12
+
+    def test_cf4_fourth_order_on_a_non_commuting_drive(self):
+        # H(t) does not commute with itself at other times; h ||H|| / hbar about 1
+        energy = 1e-22
+        omega = 0.7 * energy / HBAR
+
+        def h_of_t(t):
+            return energy * (0.5 * SIGMA_Z + 0.6 * np.cos(omega * t) * SIGMA_X
+                             + 0.3 * np.sin(omega * t) * SIGMA_Y)
+
+        psi0 = normalize_state([1, 0.5j])
+        t_final = 20 * HBAR / energy
+        exact = solve_ivp(lambda t, y: (-1j / HBAR) * (h_of_t(t) @ y), (0.0, t_final),
+                          psi0, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        errors = []
+        for steps in (16, 32):
+            grid = TimeGrid(0.0, t_final / steps, steps)
+            step_angle = max(np.linalg.norm(h_of_t(t), 2) for t in grid.times) * grid.dt / HBAR
+            assert 0.45 < step_angle < 1.0
+            traj = evolve_time_dependent(h_of_t, psi0, grid)
+            assert np.abs(traj.norms - 1.0).max() < 1e-12
+            errors.append(np.abs(traj.states[-1] - exact).max())
+        assert errors[0] / errors[1] >= 12.0
+
+    @pytest.mark.parametrize("h_of_t", [np.eye(3), lambda t: t * np.eye(3)],
+                             ids=["constant", "callable"])
+    def test_dimension_mismatch(self, h_of_t):
+        with pytest.raises(DimensionMismatchError):
+            evolve_time_dependent(h_of_t, PSI0, TimeGrid(0.0, 1e-15, 2))
+
     def test_substeps_validation(self):
         with pytest.raises(DomainError):
             evolve_time_dependent(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-15, 1),
@@ -141,7 +191,7 @@ class TestMaster:
     def test_energy_eigenstate_is_stationary(self):
         H = 0.5 * 7.55e-23 * SIGMA_Z
         rho0 = density_from_state(PSI0)
-        traj = evolve_master(rho0, H, TimeGrid(0.0, 1e-14, 200), substeps=4)
+        traj = evolve_master(rho0, H, TimeGrid(0.0, 1e-14, 200))
         assert np.abs(traj.bloch - traj.bloch[0]).max() < 1e-10
 
     def test_matches_pure_state_path(self):
@@ -150,15 +200,27 @@ class TestMaster:
         psi0 = normalize_state([2, -1j])
         grid = TimeGrid(0.0, 2.5e-15, 400)
         pure = propagate_static(H, psi0, grid)
-        mixed = evolve_master(density_from_state(psi0), H, grid, substeps=4)
+        mixed = evolve_master(density_from_state(psi0), H, grid)
         assert np.abs(pure.bloch - mixed.bloch).max() < 1e-8
 
     def test_trace_and_hermiticity_preserved(self):
         H = build_approximate(default_params("charge"))
         rho0 = density_from_state(normalize_state([1, 1j]))
-        traj = evolve_master(rho0, H, TimeGrid(0.0, 2.5e-15, 400), substeps=4)
+        traj = evolve_master(rho0, H, TimeGrid(0.0, 2.5e-15, 400))
         assert np.abs(traj.norms - 1.0).max() < 1e-10
         assert np.abs(traj.densities - traj.densities.conj().transpose(0, 2, 1)).max() < 1e-10
+
+
+    def test_exact_on_a_coarse_grid(self):
+        # ||H|| dt / hbar about 2: no step size limit, the eigenbasis phases are exact
+        H = 1e-22 * (0.3 * SIGMA_X + 0.9 * SIGMA_Z)
+        grid = TimeGrid(0.0, 2 * HBAR / np.linalg.norm(H, 2), 50)
+        psi0 = normalize_state([2, -1j])
+        pure = propagate_static(H, psi0, grid)
+        mixed = evolve_master(density_from_state(psi0), H, grid)
+        assert np.abs(pure.bloch - mixed.bloch).max() < 1e-12
+        assert np.abs(mixed.norms - 1.0).max() < 1e-12
+        assert np.abs(mixed.densities - mixed.densities.conj().transpose(0, 2, 1)).max() < 1e-12
 
 
 class TestObservableSeries:
@@ -194,7 +256,7 @@ def test_three_methods_agree():
     grid = TimeGrid(0.0, 2.5e-15, 400)
     a = propagate_static(H, psi0, grid).bloch
     b = evolve_time_dependent(H, psi0, grid, substeps=4).bloch
-    c = evolve_master(density_from_state(psi0), H, grid, substeps=4).bloch
+    c = evolve_master(density_from_state(psi0), H, grid).bloch
     assert np.abs(a - b).max() < 1e-8
     assert np.abs(a - c).max() < 1e-8
 
