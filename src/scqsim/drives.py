@@ -165,10 +165,7 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
             "nx != 0 with ny = 0 puts the carrier phase on the sin-lambda pole"
         )
     else:
-        try:
-            ratio = -tan_ratio * nx / ny
-        except OverflowError:
-            ratio = math.inf if (nx / ny) < 0 else -math.inf
+        ratio = -tan_ratio * nx / ny  # float overflow gives +-inf, atan maps it to -+pi/2
         lam = math.atan(ratio)
         # amplitude = amp_factor * hbar wq nx / (k sin(lam)), written through
         # nx / sin(atan(ratio)) so neither factor under- or overflows

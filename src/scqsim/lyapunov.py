@@ -12,6 +12,9 @@ I = (beta/cI)(yf z - y zf) with the flux channel pinned to zero makes the
 squared error gamma = |r - rf|^2 / 2 non-increasing: dgamma/dt =
 -alpha w^2 - beta u^2. The physical coefficients cancel exactly, so the
 closed loop depends only on the gains.
+
+Both integrators step through one plain-float RK4 kernel that loops inside
+itself: one call covers a fixed-step run, two a substepped trial.
 """
 
 import math
@@ -123,35 +126,56 @@ def lyapunov_value(r, rf):
     return 0.5 * np.vecdot(e, e)
 
 
-def _closed_loop_step(rf, g: Gains, p: BilinearParams):
-    """RK4 step ``step(r, h)`` of the closed loop through the physical control route.
+def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
+    """Counted RK4 kernel ``steps(r, h, count, rows=None) -> r`` of the closed loop.
 
-    Plain floats throughout. The coefficients are looked up once; the
-    velocity keeps the physical route c_V * ((alpha/c_V) * w), so the
-    trajectory matches bilinear_rhs driven by feedback_controls bit for bit.
+    Plain floats throughout, each stage written out once. The coefficients
+    are looked up once; the velocity keeps the physical route
+    c_V * ((alpha/c_V) * w), so the trajectory matches bilinear_rhs driven by
+    feedback_controls bit for bit. With ``rows`` (an ``array('d')``) each
+    state is appended after its norm passes the drift band; the sample index
+    in the error is the row it would have filled.
     """
     c_V, c_I = p.c_V, p.c_I
     k_V, k_I = g.alpha / c_V, g.beta / c_I
     xf, yf, zf = rf
 
-    def rhs(x, y, z):
-        gv = c_V * (k_V * (x * zf - xf * z))
-        gi = c_I * (k_I * (yf * z - y * zf))
-        return -gv * z, gi * z, gv * x - gi * y
-
-    def step(r, h):
+    def steps(r, h, count, rows=None):
         x, y, z = r
         a = 0.5 * h
-        k1x, k1y, k1z = rhs(x, y, z)
-        k2x, k2y, k2z = rhs(x + a * k1x, y + a * k1y, z + a * k1z)
-        k3x, k3y, k3z = rhs(x + a * k2x, y + a * k2y, z + a * k2z)
-        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
         s = h / 6.0
-        return (x + s * (k1x + 2 * k2x + 2 * k3x + k4x),
-                y + s * (k1y + 2 * k2y + 2 * k3y + k4y),
-                z + s * (k1z + 2 * k2z + 2 * k3z + k4z))
+        for _ in range(count):
+            gv = c_V * (k_V * (x * zf - xf * z))
+            gi = c_I * (k_I * (yf * z - y * zf))
+            k1x, k1y, k1z = -gv * z, gi * z, gv * x - gi * y
+            x2, y2, z2 = x + a * k1x, y + a * k1y, z + a * k1z
+            gv = c_V * (k_V * (x2 * zf - xf * z2))
+            gi = c_I * (k_I * (yf * z2 - y2 * zf))
+            k2x, k2y, k2z = -gv * z2, gi * z2, gv * x2 - gi * y2
+            x2, y2, z2 = x + a * k2x, y + a * k2y, z + a * k2z
+            gv = c_V * (k_V * (x2 * zf - xf * z2))
+            gi = c_I * (k_I * (yf * z2 - y2 * zf))
+            k3x, k3y, k3z = -gv * z2, gi * z2, gv * x2 - gi * y2
+            x2, y2, z2 = x + h * k3x, y + h * k3y, z + h * k3z
+            gv = c_V * (k_V * (x2 * zf - xf * z2))
+            gi = c_I * (k_I * (yf * z2 - y2 * zf))
+            k4x, k4y, k4z = -gv * z2, gi * z2, gv * x2 - gi * y2
+            x = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            if rows is not None:
+                norm = math.hypot(x, y, z)
+                if not NORM_FLOOR <= norm <= NORM_CEILING:
+                    raise _drift_error(norm, len(rows) // 3)
+                rows.extend((x, y, z))
+        return x, y, z
 
-    return step
+    return steps
+
+
+def _drift_error(norm: float, k: int) -> IntegrationError:
+    return IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k}; "
+                            "use integrator='substepped' or shrink dt")
 
 
 def _feedback_speed(r, rf, g: Gains) -> float:
@@ -164,11 +188,12 @@ def _feedback_speed(r, rf, g: Gains) -> float:
 #: displacement below which the rest of a sample interval is not resolvable
 FREEZE_DISPLACEMENT = 1e-18
 
-#: Bloch norms above this leave the unit ball that BlochTrajectory accepts
+#: norm band of a Bloch state; above it a state leaves BlochTrajectory's unit ball
+NORM_FLOOR = 1 - 1e-4
 NORM_CEILING = 1 + 1e-9
 
 
-def _advance_substepped(r, dt, step, rf, g, state):
+def _advance_substepped(r, dt, steps, rf, g, state):
     """Integrate one sample interval with step-doubling error control.
 
     The step h halves until one full step and two half steps agree within an
@@ -189,15 +214,11 @@ def _advance_substepped(r, dt, step, rf, g, state):
             break
         h = min(h, remaining)
         while True:
-            try:
-                coarse = step(r, h)
-                fine = step(step(r, 0.5 * h), 0.5 * h)
-                err = math.hypot(fine[0] - coarse[0], fine[1] - coarse[1],
-                                 fine[2] - coarse[2])
-            except OverflowError:
-                err = math.inf
+            coarse = steps(r, h, 1)
+            fine = steps(r, 0.5 * h, 2)
+            err = math.hypot(fine[0] - coarse[0], fine[1] - coarse[1], fine[2] - coarse[2])
             allowance = SUBSTEP_DRIFT_TOL * (h / dt)
-            if math.isfinite(err) and err <= allowance:
+            if err <= allowance:  # false for an inf or nan err
                 break
             if h <= h_floor:
                 raise IntegrationError(
@@ -220,10 +241,10 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     ``integrator`` is "fixed_rk4" (one RK4 step per sample; reproducible
     bit-for-bit) or "substepped" (adaptive internal halving, needed when
     1/gain is far below the sample interval). Raises IntegrationError when
-    the Bloch norm drifts below 1 by more than 1e-4 or rises above
-    NORM_CEILING. A substepped run whose state is frozen at the start of a
+    the Bloch norm leaves [NORM_FLOOR, NORM_CEILING], naming the first such
+    sample. A substepped run whose state is frozen at the start of a
     sample (see _advance_substepped) holds it for every later sample too, so
-    the remaining rows are filled without stepping.
+    the remaining rows are copied from the last one without stepping.
     """
     r0 = np.asarray(r0, dtype=float)
     rf = np.asarray(rf, dtype=float)
@@ -237,27 +258,23 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     dt = grid.dt
     r = tuple(r0.tolist())
     rf_t = tuple(rf.tolist())
-    step = _closed_loop_step(rf_t, g, p)
-    substepped = integrator == "substepped"
-    state = {"h": dt}
+    steps = _closed_loop_steps(rf_t, g, p)
     flat = array("d", r)  # rows packed as doubles; no per-row tuple is kept
-    for k in range(1, n):
-        if substepped and _feedback_speed(r, rf_t, g) * dt < FREEZE_DISPLACEMENT:
-            # r cannot move in this sample, so the same test holds in every later one
-            flat.extend(r * (n - k))
-            break
-        try:
-            r = _advance_substepped(r, dt, step, rf_t, g, state) if substepped else step(r, dt)
+    if integrator == "fixed_rk4":
+        steps(r, dt, n - 1, flat)
+    else:
+        state = {"h": dt}
+        for k in range(1, n):
+            if _feedback_speed(r, rf_t, g) * dt < FREEZE_DISPLACEMENT:
+                break  # r cannot move in this sample, so the same test holds in every later one
+            r = _advance_substepped(r, dt, steps, rf_t, g, state)
             norm = math.hypot(*r)
-        except OverflowError:
-            norm = math.inf
-        if not 1.0 - 1e-4 <= norm <= NORM_CEILING:
-            raise IntegrationError(
-                f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k}; "
-                "use integrator='substepped' or shrink dt"
-            )
-        flat.extend(r)
-    bloch = np.frombuffer(flat).reshape(n, 3)
+            if not NORM_FLOOR <= norm <= NORM_CEILING:
+                raise _drift_error(norm, k)
+            flat.extend(r)
+    bloch = np.frombuffer(flat).reshape(-1, 3)
+    if len(bloch) < n:  # the frozen tail repeats the last row
+        bloch = np.concatenate((bloch, np.broadcast_to(bloch[-1], (n - len(bloch), 3))))
 
     V, I = feedback_controls(bloch, rf, g, p)
     gamma = lyapunov_value(bloch, rf)

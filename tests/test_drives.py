@@ -133,6 +133,16 @@ class TestDesignDrive:
         with pytest.raises(UnreachableAxisError):
             design_drive("charge", [1, 0, 0], math.pi / T_F, CHARGE)
 
+    @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
+    @pytest.mark.parametrize("n_hat, lam", [([1, 1e-310, 0], -math.pi / 2),
+                                            ([1, -1e-310, 0], math.pi / 2),
+                                            ([-1, 1e-310, 0], math.pi / 2)])
+    def test_subnormal_ny_overflows_to_the_pole(self, kind, n_hat, lam):
+        # -tan_ratio * nx / ny overflows to +-inf (float division never raises)
+        plan = design_drive(kind, n_hat, 1e12, default_params(kind))
+        assert plan.lam == lam
+        assert math.isfinite(plan.amplitude) and math.isfinite(plan.dc_offset)
+
     def test_degenerate_carrier_rejected(self):
         p = QubitParams("charge", E_c=1e-23, E_J=1e-23, C_g=1e-15)
         with pytest.raises(DomainError):

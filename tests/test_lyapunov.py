@@ -1,5 +1,7 @@
 import io
+import math
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -13,9 +15,12 @@ from scqsim.errors import DomainError, IntegrationError
 from scqsim.evolution import BlochTrajectory, TimeGrid
 from scqsim.export import write_lyapunov_csv
 from scqsim.lyapunov import (
+    NORM_CEILING,
+    NORM_FLOOR,
     BilinearParams,
     Gains,
     LyapunovRun,
+    _closed_loop_steps,
     bilinear_rhs,
     default_bilinear_params,
     feedback_controls,
@@ -228,6 +233,35 @@ class TestBitwiseOracle:
         if integrator == "substepped":  # the frozen tail is filled, not stepped
             assert np.all(bloch[-100:] == bloch[-1])
 
+    @pytest.mark.parametrize("integrator, gains, grid, rf", [
+        ("fixed_rk4", GAINS, TimeGrid(0.0, 2e-3, 5000), RF_OFF_AXIS),
+        ("substepped", Gains(1e10, 5e10), TimeGrid(0.0, 1e-6, 300), RF),
+    ])
+    def test_closed_loop_in_benchmark_envelope(self, integrator, gains, grid, rf):
+        # desk gains over a long fixed-step grid; physical gains to the pole,
+        # where the state freezes after the first sample and the tail is filled
+        run = simulate_closed_loop(R0, rf, gains, PARAMS, grid, integrator=integrator)
+        bloch, V, I, gamma = naive_closed_loop(R0, rf, gains, PARAMS, grid, integrator)
+        assert np.array_equal(run.trajectory.bloch, bloch)
+        assert np.array_equal(run.V_series, V)
+        assert np.array_equal(run.I_series, I)
+        assert np.array_equal(run.gamma_series, gamma)
+        repeats = np.all(bloch[1:] == bloch[:-1], axis=1).sum()
+        assert repeats == (grid.steps - 1 if integrator == "substepped" else 0)
+
+    def test_drift_error_names_the_first_row_out_of_band(self):
+        # a start near the antipode escapes slowly, then outruns dt = 0.07
+        r0 = -RF_OFF_AXIS + np.array([1e-6, 1e-6, 0.0])
+        r0 /= np.linalg.norm(r0)
+        grid = TimeGrid(0.0, 0.07, 60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bloch = naive_closed_loop(r0, RF_OFF_AXIS, GAINS, PARAMS, grid)[0]
+        first = next(k for k, row in enumerate(bloch)
+                     if not NORM_FLOOR <= math.hypot(*row) <= NORM_CEILING)
+        assert first > 1
+        with pytest.raises(IntegrationError, match=f"at sample {first};"):
+            simulate_closed_loop(r0, RF_OFF_AXIS, GAINS, PARAMS, grid)
+
     @pytest.mark.parametrize("integrator, gains, grid", [
         ("fixed_rk4", GAINS, TimeGrid(0.0, 1e-3, 500)),
         ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200)),
@@ -250,6 +284,18 @@ class TestBitwiseOracle:
         write_lyapunov_csv(run, stream)
         assert stream.getvalue() == naive_lyapunov_csv(run)
         assert stream.getvalue().splitlines()[2] == "1.0,-0.0,0.0,1.0,-0.0,-0.0,0.0"
+
+
+class TestKernel:
+    @given(unit_bloch_vectors(), unit_bloch_vectors(),
+           st.floats(min_value=1e-3, max_value=1e4), st.floats(min_value=1e-3, max_value=1e4),
+           st.floats(min_value=1e-6, max_value=2.5))
+    def test_two_steps_in_one_call_equal_two_calls(self, r, rf, alpha, beta, scale):
+        steps = _closed_loop_steps(tuple(rf.tolist()), Gains(alpha, beta), PARAMS)
+        h = scale / max(alpha, beta)
+        r = tuple(r.tolist())
+        assert (array("d", steps(r, h, 2)).tobytes()
+                == array("d", steps(steps(r, h, 1), h, 1)).tobytes())
 
 
 class TestValidation:
