@@ -17,7 +17,7 @@ from .config import CHOICES, COMMAND_KEYS, REQUIRED, RunConfig, parse_config, re
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
 from .errors import IntegrationError, NumericError, SimulationError
 from .evolution import TimeGrid, propagate_static
-from .hamiltonians import build_approximate, build_exact_two_level, build_fock
+from .hamiltonians import build
 from .lyapunov import BilinearParams, Gains, simulate_closed_loop
 
 
@@ -31,18 +31,10 @@ def _output(path):
             yield stream
 
 
-def _build_static(cfg: RunConfig):
-    if cfg.model == "approx":
-        return build_approximate(cfg.params)
-    if cfg.model == "exact2":
-        return build_exact_two_level(cfg.params)
-    return build_fock(cfg.params, cfg.n_levels)
-
-
 def run_simulate(cfg: RunConfig) -> int:
     """evolve a state under a static circuit Hamiltonian"""
     grid = TimeGrid(0.0, cfg.dt, cfg.steps)
-    H = _build_static(cfg)
+    H = build(cfg.params, cfg.model, cfg.n_levels)
     psi0 = cfg.psi0
     if H.dim > 2 and psi0.size == 2:
         padded = np.zeros(H.dim, dtype=complex)

@@ -169,9 +169,11 @@ def parse_bloch_spec(text: str) -> np.ndarray:
 
 
 def parse_model_spec(text: str) -> tuple[str, Optional[int]]:
-    """'approx' | 'exact2' | 'fock:N' -> (model, n_levels)."""
-    if text in ("approx", "exact2"):
-        return text, None
+    """'approx' | 'exact2' | 'fock:N' -> (model, n_levels), with the model named
+    as hamiltonians.build names it."""
+    model = {"approx": "approximate", "exact2": "exact_two_level"}.get(text)
+    if model is not None:
+        return model, None
     if text.startswith("fock:"):
         try:
             n = int(text.split(":", 1)[1])

@@ -7,9 +7,9 @@ phase lambda, ac amplitude, dc offset and carrier frequency. The same plan
 can then be replayed against the exact lab-frame circuit model, which rotates
 about a different axis and misses the target.
 
-Inversion identities (Q = sin lambda, I = cos lambda, k the drive coupling
-in J per drive unit, (ax, ay, az) from _AXES: (1/8, 1/4, 1/8) for charge,
-(1/16, 1/4, -1/4) for phase and flux):
+Inversion identities (Q = sin lambda, I = cos lambda, k the approximate
+model's hamiltonians.drive_coupling in J per drive unit, (ax, ay, az) from
+_AXES: (1/8, 1/4, 1/8) for charge, (1/16, 1/4, -1/4) for phase and flux):
 
     wq nx =  2 ax k amp Q / hbar
     wq ny = -2 ay k amp I / hbar
@@ -17,12 +17,12 @@ in J per drive unit, (ax, ay, az) from _AXES: (1/8, 1/4, 1/8) for charge,
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .constants import E_CHARGE, HBAR
+from .constants import HBAR
 from .core import (
     SIGMA_X,
     SIGMA_Y,
@@ -38,8 +38,8 @@ from .errors import (
     UnreachableAxisError,
 )
 from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_static
-from .hamiltonians import (_DRIVE_ZERO_FIELD, DRIVE_SLOTS, HamiltonianOperator, QubitParams,
-                           build_exact_two_level)
+from .hamiltonians import (DRIVE_SLOTS, HamiltonianOperator, QubitParams, drive_coupling,
+                           drive_free)
 
 # (ax, ay, az) per kind: the rotating-frame drive is k amp (ax Q sx - ay I sy + az Q sz),
 # all powers of two; the flux drive couples like the phase drive
@@ -123,18 +123,6 @@ def carrier_frequency(kind: str, params: QubitParams) -> float:
     if math.isclose(omega_z, omega_x, rel_tol=1e-12):
         raise DomainError("degenerate spectrum: carrier |omega_z - omega_x| vanishes")
     return abs(omega_z - omega_x)
-
-
-def drive_coupling(kind: str, params: QubitParams) -> float:
-    """Coupling k between drive signal and the controlled Pauli channel, J per drive unit."""
-    if kind == "charge":
-        return -params.C_g * params.E_c / (2 * E_CHARGE)
-    _, phi_zpf = params.zpf()
-    if kind == "phase":
-        return -(HBAR / (2 * E_CHARGE)) * phi_zpf
-    if kind == "flux":
-        return -params.E_L * phi_zpf
-    raise DomainError(f"no microwave drive inversion for kind {kind!r}")
 
 
 def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
@@ -262,11 +250,7 @@ def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
     closed-form integral of amp sin(omega_c t + lambda) + dc from t0.
     """
     slot = DRIVE_SLOTS[plan.qubit_kind]
-    H = build_exact_two_level(replace(params, **{_DRIVE_ZERO_FIELD[slot]: 0.0}))
-    if slot not in H.drive_dependence:
-        raise DomainError(f"{params.qubit_kind} qubit has no drive slot {slot!r}")
-    drive = H.drive_dependence[slot]
-    static = H.traceless()
+    static, (drive,) = drive_free(params, "exact_two_level", [slot])
     c = np.vdot(drive, static).real / max(np.vdot(drive, drive).real, np.finfo(float).tiny)
     if np.abs(static - c * drive).max() > 1e-12 * np.abs(static).max():
         raise DomainError(f"static part of the exact model does not commute with slot {slot!r}")

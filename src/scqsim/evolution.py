@@ -32,14 +32,6 @@ DRIFT_ABORT = 1e-4
 #: drift level above which a run is logged as degraded
 DRIFT_WARN = 1e-8
 
-_logged_once: set = set()
-
-
-def _log_once(key: str, message: str):
-    if key not in _logged_once:
-        _logged_once.add(key)
-        logger.info(message)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -90,12 +82,8 @@ class BlochTrajectory:
 
 
 def _as_matrix(H: Union[HamiltonianOperator, np.ndarray]) -> np.ndarray:
-    """Propagation matrix with any identity offset removed."""
+    """Propagation matrix with any identity offset (a global phase) removed."""
     if isinstance(H, HamiltonianOperator):
-        if H.identity_offset != 0.0:
-            _log_once("identity-offset",
-                      "dropping Hamiltonian identity offsets during propagation "
-                      "(global phase only)")
         return H.traceless()
     return np.asarray(H, dtype=complex)
 
@@ -115,10 +103,7 @@ def _readout(times, p0, p1, coherence, total, norms, dim, **history) -> BlochTra
 
 def _check_drift(drift: float, what: str):
     if drift > DRIFT_ABORT:
-        raise IntegrationError(
-            f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT}); "
-            "reduce dt or raise substeps"
-        )
+        raise IntegrationError(f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT})")
     if drift > DRIFT_WARN:
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
 

@@ -61,10 +61,11 @@ def _write_csv(header, columns, stream: IO[str]):
 
     A row whose values after ``t`` have the same bits as the previous row's
     (a frozen state, a converged or frozen feedback tail) reuses that row's
-    text, also when the previous row lies in an earlier block; only ``t`` is
-    formatted anew. A block formats at most BLOCK_CELLS cells, at least one
-    row's, so a block of repeats spans more rows. Each line is written with
-    its leading newline, the header without one.
+    text; only ``t`` is formatted anew. A block's first row is formatted in
+    full: a repeat has the bits, and so the text, of the row it repeats. A
+    block formats at most BLOCK_CELLS cells, at least one row's, so a block
+    of repeats spans more rows. Each line is written with its leading
+    newline, the header without one.
     """
     from . import floattext  # on first use: its compile time stays out of import
 
@@ -81,19 +82,15 @@ def _write_csv(header, columns, stream: IO[str]):
     budget = max(BLOCK_CELLS, 1 + width)
     rows_per_write = max(1, budget // (_WRITES_PER_BLOCK * (1 + width)))
     work = floattext.Workspace(min(budget, cost[-1]) if n_rows else 0)
-    start = last_fresh = 0
+    start = 0
     while start < n_rows:
-        # the block's fresh rows, and the last fresh row before them, whose
-        # text the block's leading repeats reuse
         # cells counted before start; a repeated first row's line counts too
         spent = (cost[start - 1] if start else 0) - (0 if fresh[start] else width)
         stop = max(start + 1, np.searchsorted(cost, spent + budget, "right"))
+        # the rows whose lines the block formats: its fresh rows and its first
         needed = fresh[start:stop].copy()
         needed[0] = True
         sources = start + np.flatnonzero(needed)
-        if not fresh[start]:
-            sources[0] = last_fresh
-        last_fresh = sources[-1]
         cells = work.values[:stop - start + width * len(sources)]  # each row's t, then the lines
         cells[:stop - start] = times[start:stop]
         for j, column in enumerate(payload):

@@ -16,7 +16,7 @@ with n = i n_zpf (a - a^dag) and phi = phi_zpf (a + a^dag).
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -133,40 +133,56 @@ def _charge_validity_warning(p: QubitParams):
         )
 
 
+def drive_coupling(kind: str, p: QubitParams) -> float:
+    """Coupling k of the approximate model's drive term k s(t) channel, J per drive unit:
+    sigma_z for the charge qubit's V, sigma_x for the phase qubit's I and the flux
+    qubit's phi_e. The drive designs of ``scqsim.drives`` invert the same k."""
+    if kind == "charge":
+        return -p.C_g * p.E_c / (2 * E_CHARGE)
+    _, phi_zpf = p.zpf()
+    if kind == "phase":
+        return -(HBAR / (2 * E_CHARGE)) * phi_zpf
+    if kind == "flux":
+        return -p.E_L * phi_zpf
+    raise DomainError(f"no microwave drive inversion for kind {kind!r}")
+
+
 def build_approximate(p: QubitParams) -> HamiltonianOperator:
     """Approximate (driven two-level) Hamiltonian of a charge, phase or flux qubit.
 
     charge: E_c (1/2 - n_g) sigma_z + (E_J / 2) sigma_x
     phase:  -(E_c / 2) sigma_z + (E_J / 2 - (hbar/2e) phi_zpf I_g) sigma_x
     flux:   -(E_c / 2) sigma_z + (E_J / 2 - E_L phi_zpf phi_e) sigma_x
+
+    Each drive enters as k times its channel, k = drive_coupling(kind, p).
     """
     if p.qubit_kind == "lcjj":
         raise DomainError("use build_general for the combined L-C-JJ circuit")
     _charge_validity_warning(p)
+    k = drive_coupling(p.qubit_kind, p)
     if p.qubit_kind == "charge":
         hz = p.E_c * (0.5 - p.n_g)
         hx = 0.5 * p.E_J
-        dep = {"V": -p.E_c * p.C_g / (2 * E_CHARGE) * SIGMA_Z}
+        channel = SIGMA_Z
     else:
-        _, phi_zpf = p.zpf()
         hz = -0.5 * p.E_c
-        if p.qubit_kind == "phase":
-            coupling = HBAR / (2 * E_CHARGE) * phi_zpf
-            hx = 0.5 * p.E_J - coupling * p.I_g
-            dep = {"I": -coupling * SIGMA_X}
-        else:
-            coupling = p.E_L * phi_zpf
-            hx = 0.5 * p.E_J - coupling * p.phi_e
-            dep = {"phi_e": -coupling * SIGMA_X}
+        hx = 0.5 * p.E_J + k * (p.I_g if p.qubit_kind == "phase" else p.phi_e)
+        channel = SIGMA_X
     matrix = hz * SIGMA_Z + hx * SIGMA_X
-    return HamiltonianOperator(matrix, "approximate", 0.0, dep)
+    return HamiltonianOperator(matrix, "approximate", 0.0,
+                               {DRIVE_SLOTS[p.qubit_kind]: k * channel})
 
 
-def _exact_two_level_parts(p: QubitParams) -> tuple[float, float, float, dict]:
-    """(sigma_x coeff, sigma_y coeff, identity offset, drive dependence)."""
+def build_exact_two_level(p: QubitParams) -> HamiltonianOperator:
+    """Circuit Hamiltonian under the substitution n -> n_zpf sigma_y, phi -> phi_zpf sigma_x.
+
+    Since sigma_k^2 = I the cosine collapses: cos(phi_zpf sigma_x) =
+    cos(phi_zpf) I. The resulting traceless part couples only through the
+    drive terms; with all drives at zero the operator is a pure identity
+    offset and the state is frozen.
+    """
     n_zpf, phi_zpf = p.zpf()
-    hx = 0.0
-    hy = 0.0
+    hx = hy = 0.0
     offset = -p.E_J * np.cos(phi_zpf)
     dep = {}
     if p.qubit_kind in ("charge", "lcjj"):
@@ -185,18 +201,6 @@ def _exact_two_level_parts(p: QubitParams) -> tuple[float, float, float, dict]:
         hx -= p.E_L * phi_zpf * p.phi_e
         offset += 0.5 * p.E_L * (phi_zpf**2 + p.phi_e**2)
         dep["phi_e"] = -p.E_L * phi_zpf * SIGMA_X
-    return hx, hy, offset, dep
-
-
-def build_exact_two_level(p: QubitParams) -> HamiltonianOperator:
-    """Circuit Hamiltonian under the substitution n -> n_zpf sigma_y, phi -> phi_zpf sigma_x.
-
-    Since sigma_k^2 = I the cosine collapses: cos(phi_zpf sigma_x) =
-    cos(phi_zpf) I. The resulting traceless part couples only through the
-    drive terms; with all drives at zero the operator is a pure identity
-    offset and the state is frozen.
-    """
-    hx, hy, offset, dep = _exact_two_level_parts(p)
     matrix = hx * SIGMA_X + hy * SIGMA_Y + offset * IDENTITY_2
     return HamiltonianOperator(matrix, "exact_two_level", offset, dep)
 
@@ -261,9 +265,20 @@ def build_general(p: QubitParams, V: float, I: float, phi_e: float,
     if p.qubit_kind != "lcjj":
         raise DomainError("build_general models the combined L-C-JJ circuit only")
     driven = replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e)
-    if n_levels is None:
-        return build_exact_two_level(driven)
-    return build_fock(driven, n_levels)
+    return build(driven, "exact_two_level" if n_levels is None else "fock", n_levels)
+
+
+def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> HamiltonianOperator:
+    """The ``model`` Hamiltonian of ``p``: "approximate", "exact_two_level" or "fock"
+    (``n_levels`` levels, 8 if not given). Each call looks its builder up by module
+    name, so a wrapper set on one here (a profiler's, say) sees every build."""
+    if model == "approximate":
+        return build_approximate(p)
+    if model == "exact_two_level":
+        return build_exact_two_level(p)
+    if model == "fock":
+        return build_fock(p, 8 if n_levels is None else n_levels)
+    raise DomainError(f"unknown model {model!r}")
 
 
 def fock_convergence(p: QubitParams, n_levels: int, factor: int = 2) -> float:
@@ -284,31 +299,30 @@ def fock_convergence(p: QubitParams, n_levels: int, factor: int = 2) -> float:
 _DRIVE_ZERO_FIELD = {"V": "n_g", "I": "I_g", "phi_e": "phi_e"}
 
 
+def drive_free(p: QubitParams, model: str, slots: Sequence[str],
+               n_levels: Optional[int] = None) -> tuple[np.ndarray, list]:
+    """(static, operators): the traceless ``model`` Hamiltonian of ``p`` with each slot's
+    static field zeroed, and dH/d(slot) per slot. Signals s_k in the slots then give
+    H(t) = static + sum_k s_k(t) operators[k], with nothing counted twice."""
+    base = build(replace(p, **{_DRIVE_ZERO_FIELD[slot]: 0.0 for slot in slots}),
+                 model, n_levels)
+    missing = [slot for slot in slots if slot not in base.drive_dependence]
+    if missing:
+        raise DomainError(f"{p.qubit_kind} qubit has no drive slot for {missing}")
+    return base.traceless(), [base.drive_dependence[slot] for slot in slots]
+
+
 def driven_hamiltonian(p: QubitParams, model: str,
                        signals: Mapping[str, Callable[[float], float]],
                        n_levels: Optional[int] = None) -> Callable[[float], np.ndarray]:
     """Callable t -> H(t) for drive signals injected into a circuit model.
 
-    Each signal gives the absolute drive value at time t; the corresponding
-    static drive in ``p`` is zeroed so nothing is double counted. The
-    returned matrices are traceless (time-dependent identity offsets act as
-    a global phase only).
+    Each signal gives the absolute drive value at time t in its slot (see
+    drive_free). The returned matrices are traceless (time-dependent
+    identity offsets act as a global phase only).
     """
-    zeroed = {_DRIVE_ZERO_FIELD[name]: 0.0 for name in signals}
-    base_params = replace(p, **zeroed)
-    if model == "approximate":
-        base = build_approximate(base_params)
-    elif model == "exact_two_level":
-        base = build_exact_two_level(base_params)
-    elif model == "fock":
-        base = build_fock(base_params, n_levels if n_levels is not None else 8)
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    missing = [name for name in signals if name not in base.drive_dependence]
-    if missing:
-        raise DomainError(f"{p.qubit_kind} qubit has no drive slot for {missing}")
-    static = base.traceless()
-    couplings = [(base.drive_dependence[name], sig) for name, sig in signals.items()]
+    static, operators = drive_free(p, model, list(signals), n_levels)
+    couplings = list(zip(operators, signals.values()))
 
     def h_of_t(t: float) -> np.ndarray:
         H = static.copy()

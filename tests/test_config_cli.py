@@ -47,7 +47,7 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, "run.cfg",
                                  "[simulate]\nqubit = charge\nt_final = 4e-12\n"))
         assert cfg.command == "simulate"
-        assert cfg.model == "approx"
+        assert cfg.model == "approximate"
         assert cfg.dt == pytest.approx(4e-12 / 2000)
         assert cfg.defaults_used["dt"] == "t_final / 2000"
         assert np.allclose(cfg.psi0, [1, 0])
@@ -381,6 +381,34 @@ class TestCliPlumbing:
         cfg = write(tmp_path, "run.cfg",
                     "[simulate]\nqubit = charge\nt_final = 1e-12\nbogus = 1\n")
         assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[simulate]\nqubit = charge\n[design]\nt_final = 1e-12\n",
+         "run.cfg:3: second section header"),
+        ("[simulate]\nqubit = charge\nt_final = 1e-12\nmodel = fock:x\n",
+         "run.cfg:4: bad Fock level count in model 'fock:x'"),
+        ("[simulate]\nqubit = charge\nt_final = 1e-12\npsi0 = 1,0,0;0,1\n",
+         "run.cfg:4: state amplitude '1,0,0' is not 're,im'"),
+    ])
+    def test_config_errors_name_their_line(self, text, message, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", text)
+        assert main(["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--model", "fock:x", "--model: bad Fock level count in model 'fock:x'"),
+        ("--psi0", "1,0,0;0,1", "--psi0: state amplitude '1,0,0' is not 're,im'"),
+    ])
+    def test_flag_errors_name_their_flag(self, flag, value, message, capsys):
+        assert main(["simulate", "--qubit", "charge", "--t-final", "1e-12",
+                     f"{flag}={value}"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_section_header_in_params_file(self, tmp_path, capsys):
+        params = write(tmp_path, "p.params", "E_c = 7.55e-23\n[charge]\n")
+        assert main(["simulate", "--qubit", "charge", "--t-final", "1e-12",
+                     "--params", str(params), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "p.params:2: params files take no section header" in capsys.readouterr().err
 
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

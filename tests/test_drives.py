@@ -43,7 +43,7 @@ from scqsim.errors import (
     UnreachableAxisError,
 )
 from scqsim.evolution import TimeGrid
-from scqsim.hamiltonians import DRIVE_SLOTS, QubitParams, default_params
+from scqsim.hamiltonians import DRIVE_SLOTS, QubitParams, build_approximate, default_params
 
 CHARGE = default_params("charge")
 PSI0 = normalize_state([2, -1j])
@@ -142,6 +142,25 @@ class TestDesignDrive:
         plan = design_drive(kind, n_hat, 1e12, default_params(kind))
         assert plan.lam == lam
         assert math.isfinite(plan.amplitude) and math.isfinite(plan.dc_offset)
+
+    def test_lcjj_has_no_drive_inversion(self, charge_plan):
+        lcjj = default_params("lcjj")
+        with pytest.raises(DomainError, match="no microwave drive inversion"):
+            carrier_frequency("lcjj", lcjj)
+        with pytest.raises(DomainError, match="no microwave drive inversion"):
+            design_drive("lcjj", [0.0, 0.0, 1.0], 1e12, lcjj)
+        data = dict(plan_to_dict(charge_plan), kind="lcjj")
+        with pytest.raises(DomainError, match="no microwave drive inversion"):
+            plan_from_dict(data, lcjj)
+
+    @pytest.mark.parametrize("kind, channel", [("charge", SIGMA_Z), ("phase", SIGMA_X),
+                                               ("flux", SIGMA_X)])
+    def test_plan_coupling_is_the_approximate_drive_term(self, kind, channel):
+        # the plan is designed on the model it is checked against: same k, bit for bit
+        p = default_params(kind)
+        plan = design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
+        dependence = build_approximate(p).drive_dependence[DRIVE_SLOTS[kind]]
+        assert np.array_equal(dependence, plan.k * channel)
 
     def test_degenerate_carrier_rejected(self):
         p = QubitParams("charge", E_c=1e-23, E_J=1e-23, C_g=1e-15)

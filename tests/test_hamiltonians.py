@@ -8,9 +8,11 @@ from oracles import pauli_coefficients, taylor_cos
 from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from scqsim.errors import DomainError, TruncationError
+from scqsim import hamiltonians
 from scqsim.hamiltonians import (
     QubitParams,
     annihilation_operator,
+    build,
     build_approximate,
     build_exact_two_level,
     build_fock,
@@ -303,3 +305,44 @@ class TestDrivenHamiltonian:
         with pytest.raises(DomainError):
             driven_hamiltonian(default_params("charge"), "exact_two_level",
                                {"I": lambda t: 0.0})
+
+    @pytest.mark.parametrize("kind, model, slot, field, amplitude", [
+        ("phase", "approximate", "I", "I_g", 2e-3),
+        ("flux", "approximate", "phi_e", "phi_e", 0.3),
+        ("charge", "fock", "V", "n_g", 2e-3),
+    ])
+    def test_models_match_static_rebuilds(self, kind, model, slot, field, amplitude):
+        # the fock model takes 8 levels by default
+        from dataclasses import replace
+        p = default_params(kind)
+        h_of_t = driven_hamiltonian(p, model, {slot: lambda t: amplitude * np.sin(1e11 * t)})
+        for t in (0.0, 3e-13, 7e-13, 2e-12):
+            value = amplitude * np.sin(1e11 * t)
+            if slot == "V":
+                value = induced_charge(p.C_g, value)
+            rebuilt = replace(p, **{field: value})
+            H = build_approximate(rebuilt) if model == "approximate" else build_fock(rebuilt, 8)
+            expected = H.traceless()
+            assert h_of_t(t).shape == expected.shape
+            assert np.allclose(h_of_t(t), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DomainError, match="unknown model"):
+            driven_hamiltonian(default_params("charge"), "exact", {"V": lambda t: 0.0})
+        with pytest.raises(DomainError, match="unknown model"):
+            build(default_params("charge"), "approx")
+
+
+class TestBuild:
+    @pytest.mark.parametrize("model, builder", [("approximate", "build_approximate"),
+                                                ("exact_two_level", "build_exact_two_level"),
+                                                ("fock", "build_fock")])
+    def test_dispatch_reads_the_module_builders(self, model, builder, monkeypatch):
+        # a wrapper set on the module (a profiler's) must see every build
+        calls = []
+        original = getattr(hamiltonians, builder)
+        monkeypatch.setattr(hamiltonians, builder,
+                            lambda *args: calls.append(args) or original(*args))
+        H = build(default_params("phase"), model, 6)
+        assert len(calls) == 1 and H.model == model
+        assert H.dim == (6 if model == "fock" else 2)
