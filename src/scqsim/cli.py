@@ -15,7 +15,7 @@ import numpy as np
 from . import export
 from .config import CHOICES, COMMAND_KEYS, REQUIRED, RunConfig, parse_config, resolve
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
-from .errors import IntegrationError, NumericError, SimulationError
+from .errors import ConfigError, IntegrationError, NumericError, SimulationError
 from .evolution import TimeGrid, propagate_static
 from .hamiltonians import build
 from .lyapunov import BilinearParams, Gains, simulate_closed_loop
@@ -131,37 +131,55 @@ _OPTION_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += "; a value that starts with '-' goes after '=', as in --r0=-0.6,0,0.8"
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand parser, one option per schema key of config.COMMAND_KEYS.
 
     A command's help is its run function's docstring. Options keep their
     text: values are converted and checked by config.resolve, the path
-    config files take too. The schema is fixed, so one parser serves every
-    call in a process.
+    config files take too, which also refuses a repeated option as a
+    duplicate key. Options are not abbreviated. The schema is fixed, so one
+    parser serves every call in a process.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scqsim",
         description="Superconducting qubit evolution, drive design and stabilization",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="run configuration file (instead of a subcommand)")
+    parser.add_argument("--config", action="append",
+                        help="run configuration file (instead of a subcommand)")
     sub = parser.add_subparsers(dest="command")
     for command, schema in COMMAND_KEYS.items():
-        p = sub.add_parser(command, help=_DISPATCH[command].__doc__)
+        p = sub.add_parser(command, help=_DISPATCH[command].__doc__, allow_abbrev=False)
         for key, (kind, default) in schema.items():
             text = _OPTION_HELP[key]
             if default not in (REQUIRED, None):
                 text += f" (default {default})"
             p.add_argument("--" + key.replace("_", "-"), dest=key, required=default is REQUIRED,
-                           choices=CHOICES.get(kind), help=text)
+                           action="append", choices=CHOICES.get(kind), help=text)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _option_entries(args, keys) -> list:
+    """(flag, key, text) each time an option is given; a value that is not text is refused."""
     entries = [("--" + key.replace("_", "-"), key, value)
-               for key, value in vars(args).items()
-               if key in COMMAND_KEYS[args.command] and value is not None]
-    return resolve(args.command, entries, "command line")
+               for key in keys for value in getattr(args, key) or ()]
+    for flag, _, value in entries:
+        if not isinstance(value, str):  # argparse passes [] for --key=--
+            raise ConfigError(f"{flag}: expected one value, got {value!r}")
+    return entries
+
+
+def _config_from_args(args) -> RunConfig:
+    return resolve(args.command, _option_entries(args, COMMAND_KEYS[args.command]),
+                   "command line")
 
 
 def main(argv=None) -> int:
@@ -171,7 +189,10 @@ def main(argv=None) -> int:
         if args.config is not None:
             if args.command is not None:
                 parser.error("give either --config or a subcommand, not both")
-            cfg = parse_config(args.config)
+            (_, _, path), *repeated = _option_entries(args, ["config"])
+            if repeated:
+                raise ConfigError("--config: duplicate key 'config'")
+            cfg = parse_config(path)
         elif args.command is None:
             parser.error("a subcommand or --config is required")
         else:

@@ -8,9 +8,11 @@ The text comes from ``floattext.cell_words``, a vectorised Schubfach
 formatter (R. Giulietti, "The Schubfach way to render doubles", 2020) that
 lays each cell's repr() text out in four uint64 words with NUL padding; one
 ``bytes.translate`` per write call deletes the padding. Each writer formats
-blocks of at most BLOCK_CELLS cells in one ``floattext.Workspace`` per file
-(or per JSON column), and a write call carries at most an eighth of a
-block's cells, which bounds the memory its text takes.
+blocks of at most BLOCK_CELLS cells in one ``floattext.Workspace`` per file,
+the JSON columns of a file in shared blocks, and a write call carries at
+most an eighth of a block's cells, which bounds the memory its text takes.
+CSV rows that repeat the line before them go out as their ``t`` text with
+that one line joined in.
 """
 
 import json
@@ -65,7 +67,9 @@ def _write_csv(header, columns, stream: IO[str]):
     full: a repeat has the bits, and so the text, of the row it repeats. A
     block formats at most BLOCK_CELLS cells, at least one row's, so a block
     of repeats spans more rows. Each line is written with its leading
-    newline, the header without one.
+    newline, the header without one. A write part's rows from its last fresh
+    row on share one line: their ``t`` text is translated alone and the line
+    joined in with ``str.replace``, instead of gathering words per row.
     """
     from . import floattext  # on first use: its compile time stays out of import
 
@@ -97,40 +101,51 @@ def _write_csv(header, columns, stream: IO[str]):
             np.take(column, sources, out=cells[stop - start:].reshape(-1, width)[:, j])
         words = floattext.cell_words(cells, work=work)
         stamps, lines = words[:stop - start], words[stop - start:].reshape(-1, width, 4)
+        stamps[:, 0] |= ord("\n")
+        lines[:, :, 0] |= ord(",")
         for part in range(start, stop, rows_per_write):
             end = min(part + rows_per_write, stop)
             slot = fresh_count[part:end] - fresh_count[start]  # each row's line among the block's
-            text = np.empty((end - part, 1 + width, 4), words.dtype)
-            text[:, 0] = stamps[part - start:end - start]
-            text[:, 1:] = lines[slot]
-            text[:, 0, 0] |= ord("\n")
-            text[:, 1:, 0] |= ord(",")
-            stream.write(floattext.text(text))
+            shared = part + int(np.searchsorted(slot, slot[-1]))  # the rows sharing the last line
+            if part < shared:
+                text = np.empty((shared - part, 1 + width, 4), words.dtype)
+                text[:, 0] = stamps[part - start:shared - start]
+                text[:, 1:] = lines[slot[:shared - part]]
+                stream.write(floattext.text(text))
+            line = floattext.text(lines[slot[-1]])
+            stream.write("\n")
+            stream.write(floattext.text(stamps[shared - start:end - start])[1:]
+                         .replace("\n", line + "\n"))
+            stream.write(line)
         start = stop
     stream.write("\n")
 
 
-def _write_json_column(column: np.ndarray, stream: IO[str]):
-    """A float array as a json list nested one level deep (indent=2)."""
+def _json_words(columns, work):
+    """The json-style words of the columns' cells in order, in pieces of one
+    column and block and at most an eighth of a block.
+
+    Blocks of work.size cells run on across columns, so short columns share
+    a formatter call. A piece is a view into ``work``, valid until the next.
+    """
     from . import floattext
 
-    if column.size == 0:
-        stream.write("[]")
-        return
-    separator = _JSON_OPEN
-    work = floattext.Workspace(min(BLOCK_CELLS, column.size))
     per_write = max(1, BLOCK_CELLS // _WRITES_PER_BLOCK)
-    for start in range(0, column.size, work.size):
-        words = floattext.cell_words(column[start:start + work.size], json_style=True, work=work)
-        for part in range(0, len(words), per_write):
-            chunk = words[part:part + per_write]
-            cells = np.empty((len(chunk), 5), _JSON_OPEN.dtype)
-            cells[:, 0] = _JSON_SEPARATOR
-            cells[0, 0] = separator
-            cells[:, 1:] = chunk
-            stream.write(floattext.text(cells))
-            separator = _JSON_SEPARATOR
-    stream.write("\n  ]")
+    j, offset = 0, 0
+    while j < len(columns):
+        pieces, filled = [], 0
+        while j < len(columns) and filled < work.size:
+            cells = columns[j][offset:offset + work.size - filled]
+            work.values[filled:filled + len(cells)] = cells
+            pieces.append((filled, filled + len(cells)))
+            filled += len(cells)
+            offset += len(cells)
+            if offset == len(columns[j]):
+                j, offset = j + 1, 0
+        words = floattext.cell_words(work.values[:filled], json_style=True, work=work)
+        for lo, hi in pieces:
+            for part in range(lo, hi, per_write):
+                yield words[part:min(part + per_write, hi)]
 
 
 def write_trajectory_csv(traj: BlochTrajectory, stream: IO[str]):
@@ -154,17 +169,35 @@ def lyapunov_to_dict(run: LyapunovRun) -> dict:
 def dump_json(data: dict, stream: IO[str]):
     """``json.dump(data, indent=2, sort_keys=True)`` plus a newline, byte for byte.
 
-    Top-level 1-D float64 arrays are written as json lists through the cell
-    formatter; every other value goes through json, which refuses other
-    arrays.
+    Top-level 1-D float64 arrays are written as json lists nested one level
+    deep through the cell formatter, in blocks shared across them; every
+    other value goes through json, which refuses other arrays.
     """
+    from . import floattext
+
+    keys = sorted(data)
+    listed = {key for key in keys if isinstance(data[key], np.ndarray)
+              and data[key].ndim == 1 and data[key].dtype == np.float64}
+    columns = [data[key] for key in keys if key in listed and data[key].size]
+    pieces = _json_words(columns, floattext.Workspace(min(BLOCK_CELLS, sum(map(len, columns)))))
     separator = "{\n"
-    for key in sorted(data):
+    for key in keys:
         value = data[key]
         stream.write(f"{separator}  {json.dumps(key)}: ")
-        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-            _write_json_column(value, stream)
-        else:
+        if key not in listed:
             stream.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        elif not value.size:
+            stream.write("[]")
+        else:
+            lead, written = _JSON_OPEN, 0
+            while written < value.size:
+                words = next(pieces)
+                cells = np.empty((len(words), 5), _JSON_OPEN.dtype)
+                cells[:, 0] = _JSON_SEPARATOR
+                cells[0, 0] = lead
+                cells[:, 1:] = words
+                stream.write(floattext.text(cells))
+                lead, written = _JSON_SEPARATOR, written + len(words)
+            stream.write("\n  ]")
         separator = ",\n"
     stream.write("\n}\n" if data else "{}\n")

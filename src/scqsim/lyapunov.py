@@ -14,12 +14,14 @@ squared error gamma = |r - rf|^2 / 2 non-increasing: dgamma/dt =
 closed loop depends only on the gains.
 
 Both integrators step through one plain-float RK4 kernel that loops inside
-itself: one call covers a fixed-step run, two a substepped trial.
+itself: one call covers a whole run, fixed-step or substepped, its step
+doubling and freeze test included.
 """
 
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -127,27 +129,48 @@ def lyapunov_value(r, rf):
 
 
 def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
-    """Counted RK4 kernel ``steps(r, h, count, rows=None) -> r`` of the closed loop.
+    """Counted RK4 kernel ``steps(r, h, count, rows=None, dt=None) -> r`` of the closed loop.
 
-    Plain floats throughout, each stage written out once. The coefficients
-    are looked up once; the velocity keeps the physical route
-    c_V * ((alpha/c_V) * w), so the trajectory matches bilinear_rhs driven by
-    feedback_controls bit for bit. With ``rows`` (an ``array('d')``) each
-    state is appended after its norm passes the drift band; the sample index
-    in the error is the row it would have filled.
+    Plain floats throughout, each stage written out once; the velocity keeps
+    the physical route c_V * ((alpha/c_V) * w), so the trajectory matches
+    bilinear_rhs driven by feedback_controls bit for bit. With ``rows`` (an
+    ``array('d')``) each sample's state is appended after its norm passes the
+    drift band; the sample index in the error is the row it would fill.
+
+    Without ``dt`` a call takes ``count`` RK4 steps of h, one per sample. With
+    ``dt`` it integrates ``count`` samples of dt by step doubling from a trial
+    step h: one step of h and two of h/2 from the same state and first stage.
+    h halves until they agree within SUBSTEP_DRIFT_TOL * h/dt, which caps the
+    per-sample norm drift, and doubles after a trial well inside it; it never
+    exceeds the RK4 stability bound 2.5/max(alpha, beta). Once the feedback
+    speed cannot move the state by FREEZE_DISPLACEMENT over the rest of a
+    sample the state is held (the flow only contracts toward w = u = 0); held
+    from a sample's start, it is held for good and the call returns early.
     """
     c_V, c_I = p.c_V, p.c_I
     k_V, k_I = g.alpha / c_V, g.beta / c_I
+    alpha, beta = g.alpha, g.beta
+    cap = 2.5 / max(alpha, beta)
     xf, yf, zf = rf
 
-    def steps(r, h, count, rows=None):
+    def speed(x, y, z):  # bound on |dr/dt| under the feedback law (unit sphere)
+        return 2.0 * (alpha * abs(x * zf - xf * z) + beta * abs(yf * z - y * zf))
+
+    def steps(r, h, count, rows=None, dt=None):
         x, y, z = r
-        a = 0.5 * h
-        s = h / 6.0
-        for _ in range(count):
-            gv = c_V * (k_V * (x * zf - xf * z))
-            gi = c_I * (k_I * (yf * z - y * zf))
-            k1x, k1y, k1z = -gv * z, gi * z, gv * x - gi * y
+        doubling = dt is not None
+        if doubling:
+            if not count or speed(x, y, z) * dt < FREEZE_DISPLACEMENT:
+                return r  # held from the first sample's start
+            h = min(h, dt, cap)
+            h_floor, remaining, bx, by, bz = dt * 2.0 ** -48, dt, x, y, z
+        a, d, s = 0.5 * h, h, h / 6.0
+        fresh = coarse = True
+        for _ in repeat(None) if doubling else repeat(None, count):
+            if fresh:
+                gv = c_V * (k_V * (x * zf - xf * z))
+                gi = c_I * (k_I * (yf * z - y * zf))
+                k1x, k1y, k1z = -gv * z, gi * z, gv * x - gi * y
             x2, y2, z2 = x + a * k1x, y + a * k1y, z + a * k1z
             gv = c_V * (k_V * (x2 * zf - xf * z2))
             gi = c_I * (k_I * (yf * z2 - y2 * zf))
@@ -156,33 +179,60 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
             gv = c_V * (k_V * (x2 * zf - xf * z2))
             gi = c_I * (k_I * (yf * z2 - y2 * zf))
             k3x, k3y, k3z = -gv * z2, gi * z2, gv * x2 - gi * y2
-            x2, y2, z2 = x + h * k3x, y + h * k3y, z + h * k3z
+            x2, y2, z2 = x + d * k3x, y + d * k3y, z + d * k3z
             gv = c_V * (k_V * (x2 * zf - xf * z2))
             gi = c_I * (k_I * (yf * z2 - y2 * zf))
             k4x, k4y, k4z = -gv * z2, gi * z2, gv * x2 - gi * y2
             x = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y = y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             z = z + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            if rows is not None:
+            if doubling:
+                if coarse:  # the first half step starts from the same state and stage
+                    cx, cy, cz, x, y, z = x, y, z, bx, by, bz
+                    b1x, b1y, b1z = k1x, k1y, k1z
+                    d = 0.5 * h
+                    a, s = 0.5 * d, d / 6.0
+                    coarse = fresh = False
+                    continue
+                if not fresh:  # the second half step starts where the first ended
+                    fresh = True
+                    continue
+                err = math.hypot(x - cx, y - cy, z - cz)
+                allowance = SUBSTEP_DRIFT_TOL * (h / dt)
+                coarse = True
+                if not err <= allowance:  # a nan err is rejected too
+                    if h <= h_floor:
+                        raise IntegrationError("substepped integrator hit the minimum step without"
+                                               f" meeting the local tolerance (err = {err:.3e})")
+                    h *= 0.5
+                    a, d, s = 0.5 * h, h, h / 6.0
+                    x, y, z, k1x, k1y, k1z = bx, by, bz, b1x, b1y, b1z
+                    fresh = False
+                    continue
+                remaining -= h
+                if err < allowance / 64.0:
+                    h = min(h * 2.0, dt, cap)
+                bx, by, bz, moving = x, y, z, speed(x, y, z)
+                if remaining > 0.0 and not moving * remaining < FREEZE_DISPLACEMENT:
+                    h = min(h, remaining)
+                    a, d, s = 0.5 * h, h, h / 6.0
+                    continue
+            if rows is not None:  # the state ends a sample
                 norm = math.hypot(x, y, z)
                 if not NORM_FLOOR <= norm <= NORM_CEILING:
-                    raise _drift_error(norm, len(rows) // 3)
+                    raise IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample "
+                                           f"{len(rows) // 3}; use integrator='substepped' or "
+                                           "shrink dt")
                 rows.extend((x, y, z))
+            if doubling:  # the next sample starts here, unless the state is held for good
+                count -= 1
+                if not count or moving * dt < FREEZE_DISPLACEMENT:
+                    break
+                remaining = dt
+                a, d, s = 0.5 * h, h, h / 6.0
         return x, y, z
 
     return steps
-
-
-def _drift_error(norm: float, k: int) -> IntegrationError:
-    return IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k}; "
-                            "use integrator='substepped' or shrink dt")
-
-
-def _feedback_speed(r, rf, g: Gains) -> float:
-    """Upper bound on |dr/dt| under the feedback law (unit sphere)."""
-    w = r[0] * rf[2] - rf[0] * r[2]
-    u = rf[1] * r[2] - r[1] * rf[2]
-    return 2.0 * (g.alpha * abs(w) + g.beta * abs(u))
 
 
 #: displacement below which the rest of a sample interval is not resolvable
@@ -191,47 +241,6 @@ FREEZE_DISPLACEMENT = 1e-18
 #: norm band of a Bloch state; above it a state leaves BlochTrajectory's unit ball
 NORM_FLOOR = 1 - 1e-4
 NORM_CEILING = 1 + 1e-9
-
-
-def _advance_substepped(r, dt, steps, rf, g, state):
-    """Integrate one sample interval with step-doubling error control.
-
-    The step h halves until one full step and two half steps agree within an
-    allowance proportional to h/dt, which caps the accumulated per-sample
-    norm drift at about SUBSTEP_DRIFT_TOL. Two guards keep the stiff case
-    (1/gain far below dt) tractable: h never exceeds the RK4 stability bound
-    2.5/max(alpha, beta), and once the feedback speed cannot move the state
-    by more than FREEZE_DISPLACEMENT over the rest of the interval the state
-    is held (the flow only contracts toward the w = u = 0 set, so the bound
-    stays valid). h persists across samples through ``state``.
-    """
-    cap = 2.5 / max(g.alpha, g.beta)
-    h = min(state["h"], dt, cap)
-    remaining = dt
-    h_floor = dt * 2.0 ** -48
-    while remaining > 0.0:
-        if _feedback_speed(r, rf, g) * remaining < FREEZE_DISPLACEMENT:
-            break
-        h = min(h, remaining)
-        while True:
-            coarse = steps(r, h, 1)
-            fine = steps(r, 0.5 * h, 2)
-            err = math.hypot(fine[0] - coarse[0], fine[1] - coarse[1], fine[2] - coarse[2])
-            allowance = SUBSTEP_DRIFT_TOL * (h / dt)
-            if err <= allowance:  # false for an inf or nan err
-                break
-            if h <= h_floor:
-                raise IntegrationError(
-                    "substepped integrator hit the minimum step without meeting "
-                    f"the local tolerance (err = {err:.3e})"
-                )
-            h *= 0.5
-        r = fine
-        remaining -= h
-        if err < allowance / 64.0:
-            h = min(h * 2.0, dt, cap)
-    state["h"] = h
-    return r
 
 
 def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
@@ -243,7 +252,7 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     1/gain is far below the sample interval). Raises IntegrationError when
     the Bloch norm leaves [NORM_FLOOR, NORM_CEILING], naming the first such
     sample. A substepped run whose state is frozen at the start of a
-    sample (see _advance_substepped) holds it for every later sample too, so
+    sample (see _closed_loop_steps) holds it for every later sample too, so
     the remaining rows are copied from the last one without stepping.
     """
     r0 = np.asarray(r0, dtype=float)
@@ -254,24 +263,10 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     if integrator not in ("fixed_rk4", "substepped"):
         raise DomainError(f"unknown integrator {integrator!r}")
 
-    n = grid.steps + 1
-    dt = grid.dt
-    r = tuple(r0.tolist())
-    rf_t = tuple(rf.tolist())
-    steps = _closed_loop_steps(rf_t, g, p)
+    n, dt, r = grid.steps + 1, grid.dt, tuple(r0.tolist())
+    steps = _closed_loop_steps(tuple(rf.tolist()), g, p)
     flat = array("d", r)  # rows packed as doubles; no per-row tuple is kept
-    if integrator == "fixed_rk4":
-        steps(r, dt, n - 1, flat)
-    else:
-        state = {"h": dt}
-        for k in range(1, n):
-            if _feedback_speed(r, rf_t, g) * dt < FREEZE_DISPLACEMENT:
-                break  # r cannot move in this sample, so the same test holds in every later one
-            r = _advance_substepped(r, dt, steps, rf_t, g, state)
-            norm = math.hypot(*r)
-            if not NORM_FLOOR <= norm <= NORM_CEILING:
-                raise _drift_error(norm, k)
-            flat.extend(r)
+    steps(r, dt, n - 1, flat, None if integrator == "fixed_rk4" else dt)
     bloch = np.frombuffer(flat).reshape(-1, 3)
     if len(bloch) < n:  # the frozen tail repeats the last row
         bloch = np.concatenate((bloch, np.broadcast_to(bloch[-1], (n - len(bloch), 3))))

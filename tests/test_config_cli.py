@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scqsim.cli import _config_from_args, build_parser, main
@@ -558,6 +558,10 @@ class TestOneFrontEnd:
                st.sampled_from(["inf", "-inf", "nan", "0", "-1", "1e400", "1e-400", "2.5",
                                 "fock:3", "fock:x", "0,0;0,0", "nan,0;1,0", "1e200,0;1,0",
                                 "0,0,0", "inf,0,0", "1e200,0,0", "lcjj", "csv", ".", "/"])))
+    @example(case=("simulate", "t_final"), text="--")  # argparse passes [] for --key=--
+    @example(case=("simulate", "model"), text="--")
+    @example(case=("simulate", "psi0"), text="--")
+    @example(case=("lyapunov", "r0"), text="--")
     def test_fuzzed_value_raises_only_config_error(self, case, text):
         command, key = case
         options = dict(VALID[command], **{key: text})
@@ -579,6 +583,56 @@ class TestOneFrontEnd:
                 _config_from_args(args)
             except ConfigError:
                 pass
+
+
+class TestCommandLineValues:
+    """What argparse hands on, or refuses, before config.resolve sees a value."""
+
+    @pytest.mark.parametrize("command, flag", [("simulate", "--t-final"), ("simulate", "--model"),
+                                               ("lyapunov", "--r0")])
+    def test_double_dash_value_is_a_config_error(self, command, flag, capsys):
+        options = {key: value for key, value in VALID[command].items()
+                   if f"--{key.replace('_', '-')}" != flag}
+        assert main(cli_args(command, options) + [f"{flag}=--"]) == 2
+        assert f"{flag}: expected one value, got []" in capsys.readouterr().err
+
+    def test_double_dash_config_path_is_a_config_error(self, capsys):
+        assert main(["--config=--"]) == 2
+        assert "--config: expected one value, got []" in capsys.readouterr().err
+
+    def test_repeated_flag_is_a_duplicate_key(self, tmp_path, capsys):
+        args = cli_args("simulate", VALID["simulate"]) + ["--t-final=2e-13"]
+        assert main(args) == 2
+        assert "--t-final: duplicate key 't_final'" in capsys.readouterr().err
+        cfg = write(tmp_path, "run.cfg", "[simulate]\nqubit = charge\nt_final = 1e-13\n"
+                                         "t_final = 2e-13\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "run.cfg:4: duplicate key 't_final'" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "--config", str(cfg)]) == 2
+        assert "--config: duplicate key 'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--qubit", "charge", "--t-fin", "1e-13"], "required: --t-final"),
+        (["simulate", "--qubit", "charge", "--t-final", "1e-13", "--mod", "approx"],
+         "unrecognized arguments: --mod approx"),
+        (["--conf=run.cfg"], "unrecognized arguments: --conf=run.cfg"),
+    ])
+    def test_abbreviated_flag_is_refused(self, args, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_value_starting_with_a_dash_needs_an_equals_sign(self, tmp_path, capsys):
+        options = dict(VALID["lyapunov"], out=str(tmp_path / "out.csv"))
+        del options["r0"]
+        with pytest.raises(SystemExit) as err:
+            main(["lyapunov", "--r0", "-0.6,0,0.8", *cli_args("lyapunov", options)[1:]])
+        assert err.value.code == 2
+        assert ("--r0: expected one argument; a value that starts with '-' goes after '=', "
+                "as in --r0=-0.6,0,0.8") in capsys.readouterr().err
+        assert main(["lyapunov", "--r0=-0.6,0,0.8", *cli_args("lyapunov", options)[1:]]) == 0
+        assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith("0.0,-0.6,0.0,0.8,")
 
 
 class TestLimits:

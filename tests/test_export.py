@@ -5,6 +5,7 @@ workspace; the edge cases sit on and across block boundaries.
 """
 
 import io
+import json
 import tracemalloc
 from unittest import mock
 
@@ -14,13 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import lyapunov_columns, naive_csv, naive_json, trajectory_columns
+from oracles import (
+    lyapunov_columns,
+    naive_csv,
+    naive_json,
+    naive_lyapunov_csv,
+    naive_trajectory_csv,
+    trajectory_columns,
+)
 
 from scqsim import export, floattext
 from scqsim.core import normalize_state
-from scqsim.evolution import TimeGrid, propagate_static
+from scqsim.evolution import BlochTrajectory, TimeGrid, propagate_static
 from scqsim.hamiltonians import build_exact_two_level, build_fock, default_params
-from scqsim.lyapunov import BilinearParams, Gains, simulate_closed_loop
+from scqsim.lyapunov import BilinearParams, Gains, LyapunovRun, simulate_closed_loop
 
 PSI0 = normalize_state([0.6, 0.8j])
 R0 = np.array([0.4444444444444444, -0.8888888888888889, -0.1111111111111111])
@@ -255,6 +263,64 @@ def test_repeated_rows_span_several_blocks():
         assert csv_text(header, columns) == naive_csv(header, columns)
 
 
+def repeat_runs(n_rows, width):
+    """Rows of ``width`` values with long repeat runs: rows 10-599 repeat row 9,
+    row 600 differs from them only in the sign of a zero, rows 601-699 repeat
+    it, then fresh rows alternate with short runs, and the last 150 repeat."""
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(-0.5, 0.5, (n_rows, width))
+    rows[9, 0] = 0.0
+    rows[10:600] = rows[9]
+    rows[600:700] = rows[9]
+    rows[600:700, 0] = -0.0
+    for start in range(700, n_rows - 150, 7):
+        rows[start + 1:start + 4] = rows[start]
+    rows[-150:] = rows[-151]
+    return np.arange(n_rows) * 1e-6, rows
+
+
+@pytest.mark.parametrize("block", [1, 7, 200, 1000, export.BLOCK_CELLS])
+class TestRepeatRuns:
+    """Runs of rows that repeat the row before them cross write parts and
+    blocks and start at a block's first row (a block of repeats spans about
+    ``block`` rows); their text is the t text joined around one shared line."""
+
+    def test_feedback_csv(self, block):
+        times, rows = repeat_runs(1200, 7)
+        run = LyapunovRun(BlochTrajectory(times, rows[:, :3]), rows[:, 3], rows[:, 4],
+                          rows[:, 5], converged=False, final_error=1.0)
+        stream = io.StringIO()
+        with mock.patch.object(export, "BLOCK_CELLS", block):
+            export.write_lyapunov_csv(run, stream)
+        assert stream.getvalue() == naive_lyapunov_csv(run)
+        assert stream.getvalue().count(",-0.0,") == 100
+
+    def test_trajectory_csv(self, block):
+        times, rows = repeat_runs(1200, 8)
+        traj = BlochTrajectory(times, rows[:, :3], norms=rows[:, 6], leakage=rows[:, 7],
+                               expectations=dict(zip(("sx", "sy", "sz"), rows[:, 3:6].T)))
+        stream = io.StringIO()
+        with mock.patch.object(export, "BLOCK_CELLS", block):
+            export.write_trajectory_csv(traj, stream)
+        assert stream.getvalue() == naive_trajectory_csv(traj)
+
+
+@pytest.mark.parametrize("block", [1, 7, export.BLOCK_CELLS])
+def test_json_columns_share_blocks(block):
+    """Float columns, two of them empty, between other values: the column
+    boundaries fall inside blocks, and column c crosses two."""
+    rng = np.random.default_rng(13)
+    data = {"a": rng.standard_normal(5), "b": np.array([]),
+            "c": rng.standard_normal(2 * block + 3),
+            "d": {"n": 3, "x": [0.5]}, "e": np.array([np.nan, -0.0, np.inf, 1e-300]),
+            "f": np.array([2.5]), "g": 1.25, "h": np.array([]), "i": rng.standard_normal(9)}
+    expected = io.StringIO()
+    json.dump({key: value.tolist() if isinstance(value, np.ndarray) else value
+               for key, value in data.items()}, expected, indent=2, sort_keys=True)
+    with mock.patch.object(export, "BLOCK_CELLS", block):
+        assert json_text(data) == expected.getvalue() + "\n"
+
+
 LONG = -1.2345678901234567e-123  # negative, 17 digits, exponent form: 24 characters
 SHORT = [0.0, -0.0, 1.0, np.nan, np.inf, 5e-324]
 
@@ -282,15 +348,18 @@ class Discard(io.TextIOBase):
         return len(s)
 
 
-@pytest.mark.parametrize("csv, bound_kib", [("trajectory", 1620), ("feedback", 2768)])
-def test_writer_peak_memory(csv, bound_kib):
-    """tracemalloc peak of one CSV write to a discarding stream, after a warm-up.
+@pytest.mark.parametrize("output, bound_kib", [("trajectory", 1620), ("feedback", 2768),
+                                               ("feedback_json", 1700)])
+def test_writer_peak_memory(output, bound_kib):
+    """tracemalloc peak of one write to a discarding stream, after a warm-up.
 
-    A 2001 x 8 trajectory fits one block; a 20001 x 7 feedback run takes 9.
-    The parent writer, 256-row blocks, peaked at 574 and 1364 KiB; 2048-row
-    blocks without a workspace at 2665 and 4172 KiB.
+    A 2001 x 8 trajectory fits one block; a 20001 x 7 feedback run takes 9,
+    as CSV and as JSON, whose seven columns share them. The parent writer,
+    256-row blocks, peaked at 574 and 1364 KiB; 2048-row blocks without a
+    workspace at 2665 and 4172 KiB. The JSON of one workspace per column
+    peaked at 1543 KiB.
     """
-    if csv == "trajectory":
+    if output == "trajectory":
         traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
                                 TimeGrid(0.0, 5e-15, 2001))
         write = lambda: export.write_trajectory_csv(traj, Discard())
@@ -298,7 +367,10 @@ def test_writer_peak_memory(csv, bound_kib):
         run = simulate_closed_loop(R0, np.array([0.0, 0.0, 1.0]), Gains(2.0, 10.0),
                                    BilinearParams.from_qubit(default_params("lcjj")),
                                    TimeGrid(0.0, 1e-3, 20001), integrator="fixed_rk4")
-        write = lambda: export.write_lyapunov_csv(run, Discard())
+        if output == "feedback":
+            write = lambda: export.write_lyapunov_csv(run, Discard())
+        else:
+            write = lambda: export.dump_json(export.lyapunov_to_dict(run), Discard())
     write()
     tracemalloc.start()
     try:

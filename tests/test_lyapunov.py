@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
@@ -15,8 +15,10 @@ from scqsim.errors import DomainError, IntegrationError
 from scqsim.evolution import BlochTrajectory, TimeGrid
 from scqsim.export import write_lyapunov_csv
 from scqsim.lyapunov import (
+    FREEZE_DISPLACEMENT,
     NORM_CEILING,
     NORM_FLOOR,
+    SUBSTEP_DRIFT_TOL,
     BilinearParams,
     Gains,
     LyapunovRun,
@@ -296,6 +298,92 @@ class TestKernel:
         r = tuple(r.tolist())
         assert (array("d", steps(r, h, 2)).tobytes()
                 == array("d", steps(steps(r, h, 1), h, 1)).tobytes())
+
+
+class Stalled(Exception):
+    """More trials than a budget: the step halves and doubles around the
+    roundoff floor, where the allowance is below one ulp of the state."""
+
+
+def composed_samples(steps, r, rf, g, dt, count, budget=100_000):
+    """``count`` step-doubling samples composed from fixed-step kernel calls: a
+    coarse step, then two half steps in one call, per trial. Returns the
+    sample states up to the first frozen one and the numbers of rejected and
+    of doubling trials; raises IntegrationError at the minimum step, and
+    Stalled past ``budget`` trials."""
+    def speed(r):
+        w = r[0] * rf[2] - rf[0] * r[2]
+        u = rf[1] * r[2] - r[1] * rf[2]
+        return 2.0 * (g.alpha * abs(w) + g.beta * abs(u))
+
+    cap = 2.5 / max(g.alpha, g.beta)
+    h, rows, rejected, doubled = dt, [], 0, 0
+    for _ in range(count):
+        if speed(r) * dt < FREEZE_DISPLACEMENT:
+            break
+        h, remaining = min(h, dt, cap), dt
+        while remaining > 0.0 and not speed(r) * remaining < FREEZE_DISPLACEMENT:
+            h = min(h, remaining)
+            while True:
+                budget -= 1
+                if budget < 0:
+                    raise Stalled
+                coarse, fine = steps(r, h, 1), steps(r, 0.5 * h, 2)
+                err = math.hypot(*(f - c for f, c in zip(fine, coarse)))
+                allowance = SUBSTEP_DRIFT_TOL * (h / dt)
+                if err <= allowance:
+                    break
+                if h <= dt * 2.0 ** -48:
+                    raise IntegrationError("minimum step")
+                h *= 0.5
+                rejected += 1
+            r, remaining = fine, remaining - h
+            if err < allowance / 64.0:
+                h = min(h * 2.0, dt, cap)
+                doubled += 1
+        rows.extend(r)
+    return rows, rejected, doubled
+
+
+class TestSubsteppedKernel:
+    """Whole substepped samples in one kernel call against the same rules run
+    trial by trial through fixed-step calls, bit for bit."""
+
+    def check(self, r, rf, g, dt, count):
+        steps = _closed_loop_steps(rf, g, PARAMS)
+        try:
+            expected, rejected, doubled = composed_samples(steps, r, rf, g, dt, count)
+        except IntegrationError:
+            with pytest.raises(IntegrationError, match="minimum step"):
+                steps(r, dt, count, None, dt)
+            return None
+        rows = array("d")
+        last = steps(r, dt, count, rows, dt)
+        assert rows.tobytes() == array("d", expected).tobytes()
+        assert array("d", last).tobytes() == array("d", expected[-3:] or r).tobytes()
+        return len(rows) // 3, rejected, doubled
+
+    gains = st.floats(min_value=100.0, max_value=1000.0)
+
+    @given(unit_bloch_vectors(), unit_bloch_vectors(), gains, gains,
+           st.integers(min_value=1, max_value=3))
+    def test_samples_equal_composed_fixed_steps(self, r, rf, alpha, beta, count):
+        rf, r = tuple(rf.tolist()), tuple(r.tolist())
+        w, u = r[0] * rf[2] - rf[0] * r[2], rf[1] * r[2] - r[1] * rf[2]
+        assume(abs(w) + abs(u) > 1e-3)  # moves by far more than the tolerance in a sample
+        try:
+            outcome = self.check(r, rf, Gains(alpha, beta), 0.005, count)
+        except Stalled:  # the known substep stall, on which the kernel would not return
+            assume(False)
+        if outcome is not None:  # doubling steps: test_a_frozen_state_ends_the_call
+            samples, rejected, _ = outcome
+            assert samples == count
+            assume(rejected > 0)  # the retried trial shares its first stage too
+
+    def test_a_frozen_state_ends_the_call(self):
+        samples, rejected, doubled = self.check(tuple(R0.tolist()), tuple(RF.tolist()),
+                                                Gains(1e4, 5e4), 1e-3, 200)
+        assert 0 < samples < 200 and rejected > 0 and doubled > 0
 
 
 class TestValidation:
