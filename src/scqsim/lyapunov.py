@@ -134,8 +134,8 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
     Plain floats throughout, each stage written out once; the velocity keeps
     the physical route c_V * ((alpha/c_V) * w), so the trajectory matches
     bilinear_rhs driven by feedback_controls bit for bit. With ``rows`` (an
-    ``array('d')``) each sample's state is appended after its norm passes the
-    drift band; the sample index in the error is the row it would fill.
+    ``array('d')``) each sample's state is appended, unchecked, by one bound
+    ``fromlist`` call; simulate_closed_loop checks the norm band afterwards.
 
     Without ``dt`` a call takes ``count`` RK4 steps of h, one per sample. With
     ``dt`` it integrates ``count`` samples of dt by step doubling from a trial
@@ -159,6 +159,7 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
     def steps(r, h, count, rows=None, dt=None):
         x, y, z = r
         doubling = dt is not None
+        put = None if rows is None else rows.fromlist
         if doubling:
             if not count or speed(x, y, z) * dt < FREEZE_DISPLACEMENT:
                 return r  # held from the first sample's start
@@ -217,13 +218,8 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
                     h = min(h, remaining)
                     a, d, s = 0.5 * h, h, h / 6.0
                     continue
-            if rows is not None:  # the state ends a sample
-                norm = math.hypot(x, y, z)
-                if not NORM_FLOOR <= norm <= NORM_CEILING:
-                    raise IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample "
-                                           f"{len(rows) // 3}; use integrator='substepped' or "
-                                           "shrink dt")
-                rows.extend((x, y, z))
+            if put is not None:  # the state ends a sample
+                put([x, y, z])
             if doubling:  # the next sample starts here, unless the state is held for good
                 count -= 1
                 if not count or moving * dt < FREEZE_DISPLACEMENT:
@@ -243,6 +239,20 @@ NORM_FLOOR = 1 - 1e-4
 NORM_CEILING = 1 + 1e-9
 
 
+def _check_norm_band(flat):
+    """Raise IntegrationError at the first row after row 0 out of band: a vectorised pass flags
+    rows outside the band shrunk by 1e-12 (NaN too); math.hypot decides them in row order."""
+    bloch = np.frombuffer(flat).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(bloch[1:], bloch[1:]))
+    inside = (norms >= NORM_FLOOR + 1e-12) & (norms <= NORM_CEILING - 1e-12)
+    for k in np.flatnonzero(~inside).tolist():
+        norm = math.hypot(*bloch[k + 1].tolist())
+        if not NORM_FLOOR <= norm <= NORM_CEILING:
+            raise IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k + 1}; "
+                                   "use integrator='substepped' or shrink dt")
+
+
 def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
                          integrator: str = "fixed_rk4") -> LyapunovRun:
     """Run the Lyapunov feedback loop from r0 toward rf over the sampling grid.
@@ -251,9 +261,9 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     bit-for-bit) or "substepped" (adaptive internal halving, needed when
     1/gain is far below the sample interval). Raises IntegrationError when
     the Bloch norm leaves [NORM_FLOOR, NORM_CEILING], naming the first such
-    sample. A substepped run whose state is frozen at the start of a
-    sample (see _closed_loop_steps) holds it for every later sample too, so
-    the remaining rows are copied from the last one without stepping.
+    sample; a fixed-step run steps to its grid's end first. A substepped run
+    frozen at a sample's start (see _closed_loop_steps) holds its state for
+    every later sample, so the remaining rows are copied without stepping.
     """
     r0 = np.asarray(r0, dtype=float)
     rf = np.asarray(rf, dtype=float)
@@ -266,7 +276,12 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     n, dt, r = grid.steps + 1, grid.dt, tuple(r0.tolist())
     steps = _closed_loop_steps(tuple(rf.tolist()), g, p)
     flat = array("d", r)  # rows packed as doubles; no per-row tuple is kept
-    steps(r, dt, n - 1, flat, None if integrator == "fixed_rk4" else dt)
+    try:
+        steps(r, dt, n - 1, flat, None if integrator == "fixed_rk4" else dt)
+    except IntegrationError:  # the minimum step, unless a row left the band first
+        _check_norm_band(flat)
+        raise
+    _check_norm_band(flat)
     bloch = np.frombuffer(flat).reshape(-1, 3)
     if len(bloch) < n:  # the frozen tail repeats the last row
         bloch = np.concatenate((bloch, np.broadcast_to(bloch[-1], (n - len(bloch), 3))))

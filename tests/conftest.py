@@ -1,4 +1,7 @@
+import signal
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,35 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("fast")
+
+#: wall-clock limit per test, in seconds; the slowest tests take 3-7 s
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S. Not an Exception, so Hypothesis
+    passes it on at once instead of shrinking the example that hung."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that never returns (a kernel stuck in its loop) instead of
+    hanging the run; skipped where the platform has no ``signal.setitimer``."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

@@ -22,6 +22,7 @@ from scqsim.lyapunov import (
     BilinearParams,
     Gains,
     LyapunovRun,
+    _check_norm_band,
     _closed_loop_steps,
     bilinear_rhs,
     default_bilinear_params,
@@ -298,6 +299,97 @@ class TestKernel:
         r = tuple(r.tolist())
         assert (array("d", steps(r, h, 2)).tobytes()
                 == array("d", steps(steps(r, h, 1), h, 1)).tobytes())
+
+
+def drift_text(norm, sample):
+    return (f"Bloch norm drifted by {norm - 1.0:.3e} at sample {sample}; "
+            "use integrator='substepped' or shrink dt")
+
+
+def first_out_of_band(rows):
+    """(index, norm) of the first row the per-row test fails as each row is
+    appended, or None; row 0 is the start state and is not tested."""
+    for k, row in enumerate(rows[1:], 1):
+        norm = math.hypot(*row)
+        if not NORM_FLOOR <= norm <= NORM_CEILING:
+            return k, norm
+    return None
+
+
+def near_edge(edge, ulps):
+    for _ in range(abs(ulps)):
+        edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+    return edge
+
+
+class TestNormBand:
+    """The band pass after the loop gives each row the verdict, and the first
+    failure the text, of the per-row math.hypot test made as it is appended."""
+
+    @given(st.floats(min_value=0.5, max_value=1.5), st.lists(
+        st.tuples(unit_bloch_vectors(), st.sampled_from([NORM_FLOOR, NORM_CEILING]),
+                  st.integers(min_value=-4, max_value=4)), min_size=1, max_size=8))
+    def test_rows_at_the_edges_get_the_per_row_verdict(self, start, drawn):
+        rows = [(start, 0.0, 0.0)]  # row 0 is never checked, in band or not
+        rows += [tuple((v * near_edge(edge, ulps)).tolist()) for v, edge, ulps in drawn]
+        flat = array("d", [c for row in rows for c in row])
+        first = first_out_of_band(rows)
+        if first is None:
+            _check_norm_band(flat)
+        else:
+            with pytest.raises(IntegrationError) as failure:
+                _check_norm_band(flat)
+            assert str(failure.value) == drift_text(first[1], first[0])
+
+    @pytest.mark.parametrize("row", [
+        (-0.9497895555911886, -0.31241317325379847, 0.00989036234849114),
+        (0.20040147223941515, 0.17222297673110407, -0.9644576186697645),
+    ])
+    def test_hypot_decides_rows_the_vectorised_norm_rounds_into_band(self, row):
+        # one ulp from an edge: in band by the vectorised norm, out by math.hypot
+        assert NORM_FLOOR <= math.sqrt(np.vecdot(row, row)) <= NORM_CEILING
+        with pytest.raises(IntegrationError) as failure:
+            _check_norm_band(array("d", tuple(R0.tolist()) + row))
+        assert str(failure.value) == drift_text(math.hypot(*row), 1)
+
+    @pytest.mark.parametrize("row", [
+        (math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (-math.inf, math.inf, math.nan),
+        (1e200, -1e200, 0.0), (1e-200, 0.0, 0.0),
+    ])
+    def test_non_finite_and_huge_rows_fail_without_warnings(self, row):
+        rows = [tuple(R0.tolist()), tuple(RF.tolist()), tuple(RF_OFF_AXIS.tolist()), row,
+                (math.nan,) * 3]
+        with pytest.raises(IntegrationError) as failure:
+            _check_norm_band(array("d", [c for r in rows for c in r]))
+        assert str(failure.value) == drift_text(math.hypot(*row), 3)
+
+    def test_a_fixed_run_that_overflows_names_its_first_row_out_of_band(self):
+        # dt = 2 is far past the RK4 bound 2.5/beta: the rows grow to inf and nan
+        # over the rest of the grid, and the error still names sample 1
+        steps = _closed_loop_steps(tuple(RF.tolist()), GAINS, PARAMS)
+        norm = math.hypot(*steps(tuple(R0.tolist()), 2.0, 1))
+        assert norm > NORM_CEILING
+        with pytest.raises(IntegrationError) as failure:
+            simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(0.0, 2.0, 2000))
+        assert str(failure.value) == drift_text(norm, 1)
+
+    @pytest.mark.parametrize("last, expected", [
+        ((0.0, 0.0, 1.0 + 1e-6), "Bloch norm drifted by 1.000e-06 at sample 2;"),
+        ((0.0, 0.0, 1.0), "minimum step"),
+    ])
+    def test_a_row_out_of_band_precedes_a_later_kernel_error(self, monkeypatch, last,
+                                                               expected):
+        def stub(rf, g, p):
+            def steps(r, h, count, rows=None, dt=None):
+                rows.extend((0.6, 0.0, 0.8) + last)
+                raise IntegrationError("substepped integrator hit the minimum step without"
+                                       " meeting the local tolerance (err = 1.000e-16)")
+            return steps
+
+        monkeypatch.setattr("scqsim.lyapunov._closed_loop_steps", stub)
+        with pytest.raises(IntegrationError, match=expected):
+            simulate_closed_loop(R0, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(0.0, 1e-3, 10),
+                                 integrator="substepped")
 
 
 class Stalled(Exception):
