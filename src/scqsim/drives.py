@@ -23,14 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import HBAR
-from .core import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    bloch_from_state,
-    matrix_exponential,
-    rotate_bloch,
-)
+from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
 from .errors import (
     DegenerateBisectorError,
     DomainError,
@@ -174,17 +167,6 @@ def design_transfer(psi0, psif, t_f: float, params: QubitParams) -> tuple[Rotati
     return target, plan
 
 
-def reconstruct_rotation(plan: DrivePlan) -> np.ndarray:
-    """omega_q * n_hat implied by a plan through the inversion identities (round trip)."""
-    ax, ay, az = _AXES[plan.qubit_kind]
-    Q = math.sin(plan.lam)
-    I = math.cos(plan.lam)
-    wx = 2 * ax * plan.k * plan.amplitude * Q / HBAR
-    wy = -2 * ay * plan.k * plan.amplitude * I / HBAR
-    wz = 2 * az * plan.k * plan.amplitude * Q / HBAR + 2 * plan.k * plan.dc_offset / HBAR
-    return np.array([wx, wy, wz])
-
-
 def rwa_hamiltonian(plan: DrivePlan, delta_omega: float, t: float) -> HamiltonianOperator:
     """Rotating-frame drive Hamiltonian after dropping the fast terms.
 
@@ -214,16 +196,6 @@ def effective_rotating_hamiltonian(plan: DrivePlan) -> HamiltonianOperator:
     rwa = rwa_hamiltonian(plan, 0.0, 0.0)
     matrix = rwa.matrix + plan.k * plan.dc_offset * SIGMA_Z
     return HamiltonianOperator(matrix, "approximate")
-
-
-def control_propagator(plan: DrivePlan, t: float) -> np.ndarray:
-    """Rotating-frame control propagator exp(-i t w.sigma / 2), w = reconstruct_rotation(plan).
-
-    charge:      exponent (-i k t / hbar) [ (amp/8) Q sx - (amp/4) I sy + ((amp/8) Q + dc) sz ]
-    phase/flux:  exponent (-i k t / hbar) [ (amp/16) Q sx - (amp/4) I sy + (-(amp/4) Q + dc) sz ]
-    """
-    wx, wy, wz = reconstruct_rotation(plan)
-    return matrix_exponential(-0.5j * t * (wx * SIGMA_X + wy * SIGMA_Y + wz * SIGMA_Z))
 
 
 def bloch_fidelity(r, rf) -> float:
@@ -263,18 +235,14 @@ def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
 
 
 def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
-                           params: QubitParams, r_target=None) -> TransferResult:
+                           params: QubitParams, r_target) -> TransferResult:
     """Apply a designed plan to a chosen system model and score the transfer.
 
     ``model`` is "approximate_rotating" (the constant resonant rotating-frame
     generator the plan was designed for) or "exact_lab" (the exact two-level
     circuit driven by the physical signal in the kind's drive slot), both with
-    exact propagators. The target defaults to the plan's rotation of psi0.
+    exact propagators. The fidelity is scored against the Bloch vector ``r_target``.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if r_target is None:
-        alpha = plan.omega_q * (plan.t_f if plan.t_f is not None else grid.dt * grid.steps)
-        r_target = rotate_bloch(plan.n_hat, alpha, bloch_from_state(psi0))
     if model == "approximate_rotating":
         traj = propagate_static(effective_rotating_hamiltonian(plan), psi0, grid)
     elif model == "exact_lab":
@@ -288,9 +256,6 @@ def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_PLAN_FIELDS = ("kind", "lambda_rad", "amplitude", "dc_offset", "omega_c_rad_s",
-                "t_f_s", "n_hat", "omega_q_rad_s")
 
 
 def plan_to_dict(plan: DrivePlan) -> dict:
@@ -307,21 +272,3 @@ def plan_to_dict(plan: DrivePlan) -> dict:
         "n_hat": [float(c) for c in plan.n_hat],
         "omega_q_rad_s": plan.omega_q,
     }
-
-
-def plan_from_dict(data: dict, params: QubitParams) -> DrivePlan:
-    missing = [f for f in _PLAN_FIELDS if f not in data]
-    if missing:
-        raise DomainError(f"drive plan JSON lacks fields {missing}")
-    return DrivePlan(
-        qubit_kind=data["kind"],
-        lam=float(data["lambda_rad"]),
-        amplitude=float(data["amplitude"]),
-        dc_offset=float(data["dc_offset"]),
-        omega_c=float(data["omega_c_rad_s"]),
-        k=drive_coupling(data["kind"], params),
-        n_hat=np.asarray(data["n_hat"], dtype=float),
-        omega_q=float(data["omega_q_rad_s"]),
-        t_f=float(data["t_f_s"]),
-    )
-

@@ -9,14 +9,6 @@ class InvalidStateError(SimulationError):
     """State vector is not normalized or has a bad shape."""
 
 
-class InvalidBlochError(SimulationError):
-    """Bloch vector lies outside the unit ball."""
-
-
-class InvalidAxisError(SimulationError):
-    """Rotation axis is not a unit 3-vector."""
-
-
 class DimensionMismatchError(SimulationError):
     """Operands have incompatible shapes."""
 

@@ -16,7 +16,7 @@ with n = i n_zpf (a - a^dag) and phi = phi_zpf (a + a^dag).
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,7 +157,8 @@ def build_approximate(p: QubitParams) -> HamiltonianOperator:
     Each drive enters as k times its channel, k = drive_coupling(kind, p).
     """
     if p.qubit_kind == "lcjj":
-        raise DomainError("use build_general for the combined L-C-JJ circuit")
+        raise DomainError("the approximate model covers charge, phase and flux; "
+                          "use exact2 or fock:N for lcjj")
     _charge_validity_warning(p)
     k = drive_coupling(p.qubit_kind, p)
     if p.qubit_kind == "charge":
@@ -253,21 +254,6 @@ def build_fock(p: QubitParams, n_levels: int) -> HamiltonianOperator:
     return HamiltonianOperator(H, "fock", offset, dep)
 
 
-def build_general(p: QubitParams, V: float, I: float, phi_e: float,
-                  n_levels: Optional[int] = None) -> HamiltonianOperator:
-    """Fully driven L-C-JJ Hamiltonian E_c(n - n_g)^2 - E_J cos(phi) + (E_L/2)(phi - phi_e)^2 - (hbar/2e) I phi.
-
-    The gate voltage enters through n_g = C_g V / (2e). Returns the two-level
-    sigma-substituted operator by default, or the ``n_levels`` Fock form.
-    Its traceless part is linear in each of (V, I, phi_e): the
-    ``drive_dependence`` matrices are constant.
-    """
-    if p.qubit_kind != "lcjj":
-        raise DomainError("build_general models the combined L-C-JJ circuit only")
-    driven = replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e)
-    return build(driven, "exact_two_level" if n_levels is None else "fock", n_levels)
-
-
 def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> HamiltonianOperator:
     """The ``model`` Hamiltonian of ``p``: "approximate", "exact_two_level" or "fock"
     (``n_levels`` levels, 8 if not given). Each call looks its builder up by module
@@ -281,20 +267,8 @@ def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> Hamilto
     raise DomainError(f"unknown model {model!r}")
 
 
-def fock_convergence(p: QubitParams, n_levels: int, factor: int = 2) -> float:
-    """Relative shift of the two lowest eigenvalues when the truncation grows.
-
-    Compares ``n_levels`` against ``factor * n_levels`` and returns
-    max_i |E_i(N) - E_i(fN)| / max_i |E_i(fN)| for i in {0, 1}.
-    """
-    small = np.linalg.eigvalsh(build_fock(p, n_levels).matrix)[:2]
-    large = np.linalg.eigvalsh(build_fock(p, factor * n_levels).matrix)[:2]
-    scale = max(np.abs(large).max(), 1e-300)
-    return float(np.abs(small - large).max() / scale)
-
-
 # ---------------------------------------------------------------------------
-# time-dependent drives
+# the drive-free split
 
 _DRIVE_ZERO_FIELD = {"V": "n_g", "I": "I_g", "phi_e": "phi_e"}
 
@@ -310,27 +284,6 @@ def drive_free(p: QubitParams, model: str, slots: Sequence[str],
     if missing:
         raise DomainError(f"{p.qubit_kind} qubit has no drive slot for {missing}")
     return base.traceless(), [base.drive_dependence[slot] for slot in slots]
-
-
-def driven_hamiltonian(p: QubitParams, model: str,
-                       signals: Mapping[str, Callable[[float], float]],
-                       n_levels: Optional[int] = None) -> Callable[[float], np.ndarray]:
-    """Callable t -> H(t) for drive signals injected into a circuit model.
-
-    Each signal gives the absolute drive value at time t in its slot (see
-    drive_free). The returned matrices are traceless (time-dependent
-    identity offsets act as a global phase only).
-    """
-    static, operators = drive_free(p, model, list(signals), n_levels)
-    couplings = list(zip(operators, signals.values()))
-
-    def h_of_t(t: float) -> np.ndarray:
-        H = static.copy()
-        for op, sig in couplings:
-            H += op * sig(t)
-        return H
-
-    return h_of_t
 
 
 # ---------------------------------------------------------------------------

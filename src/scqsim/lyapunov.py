@@ -11,7 +11,8 @@ cphi = 2 E_L phi_zpf / hbar. Choosing V = (alpha/cV)(x zf - xf z) and
 I = (beta/cI)(yf z - y zf) with the flux channel pinned to zero makes the
 squared error gamma = |r - rf|^2 / 2 non-increasing: dgamma/dt =
 -alpha w^2 - beta u^2. The physical coefficients cancel exactly, so the
-closed loop depends only on the gains.
+closed loop depends only on the gains. With phi = 0 the loop never reads
+cphi, so BilinearParams carries no E_L.
 
 Both integrators step through one plain-float RK4 kernel that loops inside
 itself: one call covers a whole run, fixed-step or substepped, its step
@@ -28,7 +29,7 @@ import numpy as np
 from .constants import E_CHARGE, HBAR
 from .errors import DomainError, IntegrationError
 from .evolution import BlochTrajectory, TimeGrid
-from .hamiltonians import QubitParams, default_params
+from .hamiltonians import QubitParams
 
 #: per-sample bound on unit-norm drift for the substepped integrator
 SUBSTEP_DRIFT_TOL = 1e-8
@@ -39,7 +40,6 @@ class BilinearParams:
     """Physical coefficients of the bilinear Bloch equations."""
 
     E_c: float
-    E_L: float
     C_g: float
     n_zpf: float
     phi_zpf: float
@@ -48,8 +48,6 @@ class BilinearParams:
         for name in ("E_c", "C_g", "n_zpf", "phi_zpf"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        if self.E_L < 0:
-            raise DomainError("E_L must be non-negative")
 
     @property
     def c_V(self) -> float:
@@ -59,19 +57,10 @@ class BilinearParams:
     def c_I(self) -> float:
         return self.phi_zpf / E_CHARGE
 
-    @property
-    def c_phi(self) -> float:
-        return 2 * self.E_L * self.phi_zpf / HBAR
-
     @classmethod
     def from_qubit(cls, p: QubitParams) -> "BilinearParams":
         n_zpf, phi_zpf = p.zpf()
-        return cls(E_c=p.E_c, E_L=p.E_L, C_g=p.C_g, n_zpf=n_zpf, phi_zpf=phi_zpf)
-
-
-def default_bilinear_params() -> BilinearParams:
-    """Charge-circuit reference values; inductive branch open (E_L = 0)."""
-    return BilinearParams.from_qubit(default_params("lcjj"))
+        return cls(E_c=p.E_c, C_g=p.C_g, n_zpf=n_zpf, phi_zpf=phi_zpf)
 
 
 @dataclass(frozen=True)
@@ -96,14 +85,6 @@ class LyapunovRun:
     gamma_series: np.ndarray
     converged: bool
     final_error: float
-
-
-def bilinear_rhs(r, V: float, I: float, phi: float, p: BilinearParams) -> np.ndarray:
-    """Bloch velocity of the driven circuit; exactly tangent to the sphere."""
-    x, y, z = r
-    gv = p.c_V * V
-    gi = p.c_phi * phi + p.c_I * I
-    return np.array([-gv * z, gi * z, gv * x - gi * y])
 
 
 def feedback_controls(r, rf, g: Gains, p: BilinearParams):
@@ -132,8 +113,9 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
     """Counted RK4 kernel ``steps(r, h, count, rows=None, dt=None) -> r`` of the closed loop.
 
     Plain floats throughout, each stage written out once; the velocity keeps
-    the physical route c_V * ((alpha/c_V) * w), so the trajectory matches
-    bilinear_rhs driven by feedback_controls bit for bit. With ``rows`` (an
+    the physical route c_V * ((alpha/c_V) * w), so the trajectory matches, bit
+    for bit, RK4 on the bilinear equations driven by feedback_controls at
+    every stage (tests/oracles.py holds that reference). With ``rows`` (an
     ``array('d')``) each sample's state is appended, unchecked, by one bound
     ``fromlist`` call; simulate_closed_loop checks the norm band afterwards.
 

@@ -42,6 +42,12 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def unit_state(*amplitudes) -> np.ndarray:
+    """The state with these amplitudes, divided by its norm."""
+    psi = np.array(amplitudes, dtype=complex)
+    return psi / np.linalg.norm(psi)
+
+
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 

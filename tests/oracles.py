@@ -1,11 +1,13 @@
 """Independent reference computations the tests check the library against.
 
 Nothing here imports the code paths under test: matrix exponentials come from
-a plain Taylor series, Bloch rotations from the Rodrigues formula, and the
-feedback loop from a literal reduced-form RK4. The bit-for-bit references of
-the feedback loop and its CSV are built one row at a time from the library's
-single-vector formulas (bilinear_rhs, feedback_controls, lyapunov_value) and
-repr(), with none of the loop or export code they check; so are the
+a plain Taylor series, Bloch rotations from the Rodrigues formula, a generic
+H(t) from the commutator-free Magnus step CF4, drive plans back to rotations
+from the inversion identities, and the feedback loop from a literal
+reduced-form RK4. The bit-for-bit references of the feedback loop and its CSV
+are built one row at a time from the bilinear equations (bilinear_rhs, here)
+and the library's single-vector formulas (feedback_controls, lyapunov_value)
+and repr(), with none of the loop or export code they check; so are the
 trajectory CSV and the json text of both exports.
 """
 
@@ -14,13 +16,17 @@ import math
 
 import numpy as np
 
+from scqsim.constants import HBAR
 from scqsim.lyapunov import (
     FREEZE_DISPLACEMENT,
     SUBSTEP_DRIFT_TOL,
-    bilinear_rhs,
     feedback_controls,
     lyapunov_value,
 )
+
+#: (ax, ay, az) of the rotating-frame drive k amp (ax Q sx - ay I sy + az Q sz) per kind
+DRIVE_AXES = {"charge": (1 / 8, 1 / 4, 1 / 8), "phase": (1 / 16, 1 / 4, -1 / 4),
+              "flux": (1 / 16, 1 / 4, -1 / 4)}
 
 
 def taylor_expm(A, terms=30):
@@ -83,6 +89,53 @@ def pauli_coefficients(H):
     return np.array([np.trace(H @ P).real / 2 for P in (sx, sy, sz)])
 
 
+def reconstruct_rotation(plan):
+    """omega_q * n_hat a plan implies: the inversion identities of scqsim.drives read backwards."""
+    ax, ay, az = DRIVE_AXES[plan.qubit_kind]
+    Q = math.sin(plan.lam)
+    I = math.cos(plan.lam)
+    wx = 2 * ax * plan.k * plan.amplitude * Q / HBAR
+    wy = -2 * ay * plan.k * plan.amplitude * I / HBAR
+    wz = 2 * az * plan.k * plan.amplitude * Q / HBAR + 2 * plan.k * plan.dc_offset / HBAR
+    return np.array([wx, wy, wz])
+
+
+def cf4_states(h_of_t, psi0, times):
+    """States of i hbar dpsi/dt = H(t) psi at ``times`` by the commutator-free Magnus step CF4.
+
+    A step of h takes H1, H2 at the Gauss-Legendre nodes 1/2 -+ r, r = sqrt(3)/6, and
+    applies exp(-i h ((1/4 + r) H1 + (1/4 - r) H2) / hbar), then the exponential with
+    the weights swapped (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)):
+    fourth order, unitary, exact for a constant H. The Magnus series converges only
+    for h ||H|| / hbar < pi (Moan & Niesen, Found. Comput. Math. 8, 291 (2008)), H
+    shifted by the identity that minimizes its norm; every step asserts that bound.
+    """
+    r = np.sqrt(3) / 6
+    psi = np.asarray(psi0, dtype=complex).ravel()
+    states = [psi]
+    for t, h in zip(times[:-1], np.diff(times)):
+        H1, H2 = h_of_t(t + (0.5 - r) * h), h_of_t(t + (0.5 + r) * h)
+        angle = 0.0
+        for exponent in ((0.25 + r) * H1 + (0.25 - r) * H2,
+                         (0.25 - r) * H1 + (0.25 + r) * H2):
+            w, v = np.linalg.eigh(exponent)
+            angle += 0.5 * (w[-1] - w[0]) * h / HBAR  # an identity part is a phase
+            psi = v @ (np.exp(-1j * (h * w) / HBAR) * (v.conj().T @ psi))
+        assert angle < np.pi, f"CF4 step angle {angle:.3g} at t = {t:.6g} s reaches pi"
+        states.append(psi)
+    return np.array(states)
+
+
+def bilinear_rhs(r, V, I, phi, c_phi, p):
+    """Bloch velocity of the driven circuit, exactly tangent to the sphere; ``c_phi`` is the
+    flux channel's coefficient 2 E_L phi_zpf / hbar, ``p`` a lyapunov.BilinearParams. The
+    closed-loop kernel of scqsim.lyapunov equals RK4 on it bit for bit."""
+    x, y, z = r
+    gv = p.c_V * V
+    gi = c_phi * phi + p.c_I * I
+    return np.array([-gv * z, gi * z, gv * x - gi * y])
+
+
 def reduced_loop_rk4(r0, rf, alpha, beta, dt, steps):
     """Fine-step RK4 on the gain-only closed loop dr/dt = f(r; alpha, beta)."""
     rf = np.asarray(rf, dtype=float)
@@ -109,7 +162,7 @@ def reduced_loop_rk4(r0, rf, alpha, beta, dt, steps):
 def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
     """Per-row reference of simulate_closed_loop: (bloch, V, I, gamma).
 
-    Every RK4 stage drives bilinear_rhs (flux pinned at 0) with
+    Every RK4 stage drives bilinear_rhs (flux and c_phi pinned at 0) with
     feedback_controls at the stage state. The substepped branch applies the
     step-doubling rules of the library's substepped integrator on every
     sample, frozen ones included. V, I and gamma take one call per row.
@@ -119,7 +172,7 @@ def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
 
     def f(r):
         V, I = feedback_controls(r, rf, g, p)
-        return bilinear_rhs(r, V, I, 0.0, p)
+        return bilinear_rhs(r, V, I, 0.0, 0.0, p)
 
     def rk4(r, h):
         k1 = f(r)

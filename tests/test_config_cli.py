@@ -404,6 +404,13 @@ class TestCliPlumbing:
                      f"{flag}={value}"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_lcjj_approx_names_the_models_lcjj_takes(self, capsys):
+        assert main(["simulate", "--qubit", "lcjj", "--model", "approx",
+                     "--t-final", "1e-13"]) == 2
+        assert capsys.readouterr().err == (
+            "scqsim: configuration error: the approximate model covers charge, phase and flux; "
+            "use exact2 or fock:N for lcjj\n")
+
     def test_section_header_in_params_file(self, tmp_path, capsys):
         params = write(tmp_path, "p.params", "E_c = 7.55e-23\n[charge]\n")
         assert main(["simulate", "--qubit", "charge", "--t-final", "1e-12",

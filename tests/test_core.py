@@ -3,35 +3,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ball_bloch_vectors, pure_states, unit_bloch_vectors
-from oracles import rodrigues, scaled_taylor_expm, taylor_expm
+from conftest import pure_states, unit_bloch_vectors
+from oracles import scaled_taylor_expm, taylor_expm
 
 from scqsim.core import (
     IDENTITY_2,
-    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_from_density,
     bloch_from_state,
-    density_from_bloch,
-    density_from_state,
-    expectation,
-    is_unitary,
+    is_hermitian,
     matrix_exponential,
-    normalize_state,
-    phase_distance,
-    rotate_bloch,
-    rotation_operator,
-    state_from_bloch,
+    scaled_norm,
 )
-from scqsim.errors import (
-    DimensionMismatchError,
-    InvalidAxisError,
-    InvalidBlochError,
-    InvalidStateError,
-    NumericError,
-)
+from scqsim.errors import DimensionMismatchError, InvalidStateError, NumericError
 
 
 class TestBlochFromState:
@@ -60,75 +45,83 @@ class TestBlochFromState:
             bloch_from_state(np.array([1.0, 0, 0]))
 
     @given(pure_states())
-    def test_unit_norm_and_roundtrip(self, psi):
+    def test_unit_norm_and_pauli_expectations(self, psi):
         r = bloch_from_state(psi)
         assert abs(np.linalg.norm(r) - 1.0) < 1e-9
+        expected = [np.vdot(psi, P @ psi).real for P in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        assert np.allclose(r, expected, atol=1e-12)
+
+    @given(unit_bloch_vectors())
+    def test_unit_norm_and_roundtrip(self, r):
+        # (cos(theta/2), e^(i phi) sin(theta/2)) has Bloch vector r
+        theta = np.arccos(np.clip(r[2], -1.0, 1.0))
+        phi = np.arctan2(r[1], r[0])
+        psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+        back = bloch_from_state(psi)
+        assert abs(np.linalg.norm(back) - 1.0) < 1e-12
         # sqrt(eps) is the conditioning floor of Bloch coordinates at the poles
-        assert np.allclose(bloch_from_state(state_from_bloch(r)), r, atol=1e-7)
+        assert np.allclose(back, r, atol=1e-7)
 
 
-class TestNormalizeState:
+class TestPaulis:
+    def test_squares_are_the_identity(self):
+        for P in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+            assert np.array_equal(P @ P, IDENTITY_2)
+
+    def test_product_rule_and_anticommutation(self):
+        assert np.array_equal(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
+        assert np.array_equal(SIGMA_Y @ SIGMA_Z, 1j * SIGMA_X)
+        assert np.array_equal(SIGMA_Z @ SIGMA_X, 1j * SIGMA_Y)
+        for P, Q in ((SIGMA_X, SIGMA_Y), (SIGMA_Y, SIGMA_Z), (SIGMA_Z, SIGMA_X)):
+            assert np.array_equal(P @ Q + Q @ P, np.zeros((2, 2)))
+
+
+class TestScaledNorm:
     def test_large_amplitude_does_not_overflow(self):
         # the squared norm 1e400 overflows; scaling first keeps the small part
-        psi = normalize_state([1e200, 1])
+        scaled, norm, _ = scaled_norm(np.array([1e200, 1], dtype=complex))
+        psi = scaled / norm
         assert psi[0] == 1.0 and psi[1] == pytest.approx(1e-200, rel=1e-15)
 
     def test_tiny_amplitudes_do_not_underflow(self):
-        assert np.allclose(normalize_state([1e-200, 1e-200j]), np.array([1, 1j]) / np.sqrt(2))
+        scaled, norm, _ = scaled_norm(np.array([1e-200, 1e-200j]))
+        assert np.allclose(scaled / norm, np.array([1, 1j]) / np.sqrt(2))
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidStateError):
-            normalize_state([0, 0])
+    def test_zero_vector_has_zero_norm(self):
+        # callers reject it: there is no direction to normalize to
+        _, norm, _ = scaled_norm(np.zeros(2, dtype=complex))
+        assert norm == 0.0
 
+    def test_scaled_part_and_exponent_rebuild_the_input(self):
+        x = np.array([3e150, -4e150j])
+        scaled, norm, exponent = scaled_norm(x)
+        assert 0.5 <= np.abs(scaled.view(float)).max() < 1.0
+        assert np.array_equal(np.ldexp(scaled.view(float), exponent), x.view(float))
+        assert norm * 2.0**exponent == pytest.approx(5e150, rel=1e-15)
 
-class TestDensityFromBloch:
-    def test_north_pole(self):
-        assert np.allclose(density_from_bloch([0, 0, 1]), [[1, 0], [0, 0]])
-
-    def test_maximally_mixed(self):
-        assert np.allclose(density_from_bloch([0, 0, 0]), 0.5 * IDENTITY_2)
-
-    def test_plus_x(self):
-        assert np.allclose(density_from_bloch([1, 0, 0]), 0.5 * np.ones((2, 2)))
-
-    def test_rejects_outside_ball(self):
-        with pytest.raises(InvalidBlochError):
-            density_from_bloch([1.0, 1.0, 0.0])
-
-    @given(ball_bloch_vectors())
-    def test_hermitian_trace_one_psd(self, r):
-        rho = density_from_bloch(r)
-        assert np.abs(rho - rho.conj().T).max() < 1e-10
-        assert abs(np.trace(rho) - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(rho).min() > -1e-10
-
-    @given(ball_bloch_vectors())
-    def test_pauli_expectations_recover_components(self, r):
-        rho = density_from_bloch(r)
-        assert np.allclose(bloch_from_density(rho), r, atol=1e-10)
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) > 1e-3),
+                    min_size=3, max_size=3),
+           st.integers(min_value=-900, max_value=900))
+    def test_direction_is_bitwise_scale_free(self, parts, shift):
+        x = np.array(parts)
+        plain = x / np.linalg.norm(x)
+        scaled, norm, _ = scaled_norm(np.ldexp(x, shift))
+        assert np.array_equal(scaled / norm, plain)
 
 
-class TestExpectation:
-    def test_ground_state_sz(self):
-        assert expectation(density_from_bloch([0, 0, 1]), SIGMA_Z) == pytest.approx(1.0)
+class TestIsHermitian:
+    def test_accepts_a_hermitian_matrix(self):
+        assert is_hermitian(0.3 * SIGMA_X + 0.7 * SIGMA_Y - 2.0 * SIGMA_Z)
 
-    def test_plus_state_sx(self):
-        rho = density_from_state(normalize_state([1, 1]))
-        assert expectation(rho, SIGMA_X) == pytest.approx(1.0)
+    def test_rejects_a_skew_part(self):
+        assert not is_hermitian(SIGMA_X + 1e-6j * IDENTITY_2)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            expectation(np.eye(2) / 2, np.eye(3))
-
-    @given(ball_bloch_vectors(), unit_bloch_vectors(),
-           st.floats(min_value=-6.0, max_value=6.0))
-    def test_unitary_invariance(self, r, axis, angle):
-        rho = density_from_bloch(r)
-        X = SIGMA_X + 0.3 * SIGMA_Z
-        U = rotation_operator(axis, angle)
-        lhs = expectation(U @ rho @ U.conj().T, X)
-        rhs = expectation(rho, U.conj().T @ X @ U)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    def test_tolerance_is_relative_to_the_largest_entry(self):
+        # an asymmetry of 1e10 on entries of 1e23 is below 1e-12 of the scale
+        A = 1e23 * SIGMA_X
+        A[0, 1] += 1e10
+        assert is_hermitian(A)
+        assert not is_hermitian(A, tol=1e-14)
 
 
 class TestMatrixExponential:
@@ -162,7 +155,17 @@ class TestMatrixExponential:
         H = (coeffs[0] * SIGMA_X + coeffs[1] * SIGMA_Y + coeffs[2] * SIGMA_Z
              + coeffs[3] * IDENTITY_2)
         U = matrix_exponential(-1j * H)
-        assert is_unitary(U, tol=1e-10)
+        assert np.abs(U.conj().T @ U - IDENTITY_2).max() <= 1e-10
+
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_hermitian_generator_matches_taylor_oracle(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = (B + B.conj().T) / 2
+        H *= 3.0 / np.linalg.norm(H, 2)
+        E = matrix_exponential(H)
+        assert np.abs(E - E.conj().T).max() < 1e-12 * np.abs(E).max()
+        assert np.abs(E - scaled_taylor_expm(H)).max() < 1e-10 * np.abs(E).max()
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
     def test_matches_taylor_oracle_up_to_norm_ten(self, dim, seed):
@@ -170,33 +173,3 @@ class TestMatrixExponential:
         A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         A *= 10.0 / max(np.linalg.norm(A, 2), 10.0)  # clip to norm <= 10
         assert np.abs(matrix_exponential(A) - scaled_taylor_expm(A)).max() < 1e-9
-
-
-class TestRotationOperator:
-    def test_zero_angle(self):
-        assert np.allclose(rotation_operator([0, 0, 1], 0.0), IDENTITY_2)
-
-    def test_pi_about_z(self):
-        expected = taylor_expm(-1j * (np.pi / 2) * SIGMA_Z)
-        assert np.abs(rotation_operator([0, 0, 1], np.pi) - expected).max() < 1e-12
-        assert np.abs(rotation_operator([0, 0, 1], np.pi) - (-1j * SIGMA_Z)).max() < 1e-12
-
-    @given(unit_bloch_vectors())
-    def test_two_pi_is_minus_identity(self, axis):
-        assert np.abs(rotation_operator(axis, 2 * np.pi) + IDENTITY_2).max() < 1e-12
-
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(InvalidAxisError):
-            rotation_operator([0.5, 0.5, 0.5], 1.0)
-
-    @given(unit_bloch_vectors(), st.floats(min_value=-6.0, max_value=6.0),
-           st.floats(min_value=-6.0, max_value=6.0))
-    def test_group_property(self, axis, a, b):
-        Uab = rotation_operator(axis, a) @ rotation_operator(axis, b)
-        assert phase_distance(Uab, rotation_operator(axis, a + b)) < 1e-9
-
-    @given(unit_bloch_vectors(), unit_bloch_vectors(),
-           st.floats(min_value=-6.0, max_value=6.0))
-    def test_conjugation_matches_rotation_matrix(self, axis, r, angle):
-        rotated = rotate_bloch(axis, angle, r)
-        assert np.allclose(rotated, rodrigues(axis, angle) @ r, atol=1e-9)

@@ -1,33 +1,23 @@
 import io
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.integrate import solve_ivp
 
-from oracles import naive_trajectory_csv
+from conftest import unit_bloch_vectors, unit_state
+from oracles import cf4_states, naive_trajectory_csv, rodrigues
 
 from scqsim.constants import HBAR
-from scqsim.core import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    density_from_state,
-    normalize_state,
-)
-from scqsim.errors import (
-    DimensionMismatchError,
-    DomainError,
-    IntegrationError,
-    MissingDataError,
-)
+from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, matrix_exponential
+from scqsim.errors import DimensionMismatchError, DomainError, IntegrationError
 from scqsim.evolution import (
+    DRIFT_WARN,
     BlochTrajectory,
     TimeGrid,
-    evolve_master,
-    evolve_time_dependent,
-    observable_series,
+    _check_drift,
     propagate_static,
 )
 from scqsim.export import write_trajectory_csv
@@ -40,7 +30,7 @@ from scqsim.hamiltonians import (
 )
 
 E_J_REF = 1.359e-24
-PSI0 = normalize_state([1, 0])
+PSI0 = unit_state(1, 0)
 
 
 def rabi_hamiltonian():
@@ -65,7 +55,7 @@ class TestPropagateStatic:
     def test_identity_offset_freezes_bloch(self):
         H = build_exact_two_level(QubitParams("charge", E_c=7.55e-23,
                                               E_J=1.359e-24, E_LJ0=1.359e-24))
-        psi0 = normalize_state([2, -1j])
+        psi0 = unit_state(2, -1j)
         traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-13, 1000))
         assert np.abs(traj.bloch - traj.bloch[0]).max() < 1e-12
 
@@ -85,9 +75,8 @@ class TestPropagateStatic:
         assert np.abs(traj.norms - 1.0).max() < 1e-10
 
     def test_equals_matrix_exponential_per_sample(self):
-        from scqsim.core import matrix_exponential
         H = build_approximate(default_params("charge"))
-        psi0 = normalize_state([2, -1j])
+        psi0 = unit_state(2, -1j)
         grid = TimeGrid(0.0, 5e-14, 20)
         traj = propagate_static(H, psi0, grid)
         for t, psi in zip(grid.times, traj.states):
@@ -96,56 +85,47 @@ class TestPropagateStatic:
 
     def test_energy_conserved(self):
         H = build_approximate(default_params("charge"))
-        psi0 = normalize_state([2, -1j])  # nonzero mean energy
+        psi0 = unit_state(2, -1j)  # nonzero mean energy
         traj = propagate_static(H, psi0, TimeGrid(0.0, 2.5e-15, 500))
-        energy = observable_series(traj, H.matrix)
+        energy = np.einsum("ki,ij,kj->k", traj.states.conj(), H.matrix, traj.states).real
         assert (energy.max() - energy.min()) < 1e-9 * np.abs(energy).max()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             propagate_static(np.eye(3), PSI0, TimeGrid(0.0, 1e-15, 1))
 
+    @given(unit_bloch_vectors(), unit_bloch_vectors())
+    def test_exact_on_a_coarse_grid(self, axis, r0):
+        # ||H|| dt / hbar = 2: no step size limit, the Bloch vector turns about the
+        # field axis by 2 ||H|| t / hbar at every sample
+        energy = 1e-22
+        H = energy * (axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z)
+        theta = np.arccos(np.clip(r0[2], -1.0, 1.0))
+        psi0 = np.array([np.cos(theta / 2),
+                         np.exp(1j * np.arctan2(r0[1], r0[0])) * np.sin(theta / 2)])
+        grid = TimeGrid(0.0, 2 * HBAR / energy, 50)
+        traj = propagate_static(H, psi0, grid)
+        expected = np.array([rodrigues(axis, 2 * energy * t / HBAR) @ traj.bloch[0]
+                             for t in grid.times])
+        assert np.abs(traj.bloch - expected).max() < 1e-9
 
-class TestTimeDependent:
+    def test_start_time_only_shifts_the_samples(self):
+        H = build_approximate(default_params("flux"))
+        psi0 = unit_state(2, -1j)
+        early = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 40))
+        late = propagate_static(H, psi0, TimeGrid(3e-12, 1e-14, 40))
+        assert np.allclose(late.times - early.times, 3e-12, rtol=0, atol=1e-25)
+        assert np.abs(late.states - early.states).max() < 1e-12
+
+
+class TestCf4Oracle:
     def test_constant_matches_static(self):
+        # a constant H: CF4 is exact and agrees with the eigendecomposition kernel
         H = build_approximate(default_params("charge"))
-        psi0 = normalize_state([1, 1j])
-        grid = TimeGrid(0.0, 2.5e-15, 500)
-        static = propagate_static(H, psi0, grid)
-        rk4 = evolve_time_dependent(H, psi0, grid, substeps=4)
-        assert np.abs(static.bloch - rk4.bloch).max() < 1e-8
-
-    def test_zero_amplitude_drive_is_constant(self):
-        h_of_t = lambda t: 0.0 * SIGMA_Z  # noqa: E731
-        psi0 = normalize_state([1, 2j])
-        traj = evolve_time_dependent(h_of_t, psi0, TimeGrid(0.0, 1e-14, 100))
-        assert np.abs(traj.bloch - traj.bloch[0]).max() < 1e-12
-
-    def test_halving_dt_converges(self):
-        H = build_approximate(default_params("charge"))
-        psi0 = normalize_state([1, 1j])
-        coarse = evolve_time_dependent(H, psi0, TimeGrid(0.0, 5e-15, 1000))
-        fine = evolve_time_dependent(H, psi0, TimeGrid(0.0, 2.5e-15, 2000))
-        assert np.abs(coarse.bloch[-1] - fine.bloch[-1]).max() < 1e-6
-
-    def test_norm_drift_detected(self):
-        # deliberately unstable: omega * dt >> 1
-        H = 1e-20 * SIGMA_X
-        with pytest.raises(IntegrationError, match="dt"):
-            evolve_time_dependent(H, PSI0, TimeGrid(0.0, 1e-13, 50))
-
-    def test_magnus_bound_raises_for_a_callable(self):
-        # h ||H(t)|| / hbar about 9.5, with the drive varying inside the step
-        h_of_t = lambda t: 1e-20 * (np.cos(1e13 * t) * SIGMA_X + SIGMA_Z)  # noqa: E731
-        with pytest.raises(IntegrationError, match=r"Magnus convergence bound \(dt = 1\.000e-13"):
-            evolve_time_dependent(h_of_t, PSI0, TimeGrid(0.0, 1e-13, 50))
-
-    def test_identity_part_does_not_trip_the_magnus_bound(self):
-        # 1e-20 I alone is about 9.5 per step, but only a global phase
-        grid = TimeGrid(0.0, 1e-13, 50)
-        shifted = evolve_time_dependent(lambda t: 1e-20 * IDENTITY_2 + 1e-23 * SIGMA_X, PSI0, grid)
-        plain = evolve_time_dependent(lambda t: 1e-23 * SIGMA_X, PSI0, grid)
-        assert np.abs(shifted.bloch - plain.bloch).max() < 1e-12
+        psi0 = unit_state(1, 1j)
+        grid = TimeGrid(0.0, 6.25e-16, 200)
+        states = cf4_states(lambda t: H.traceless(), psi0, grid.times)
+        assert np.abs(states - propagate_static(H, psi0, grid).states).max() < 1e-10
 
     def test_cf4_fourth_order_on_a_non_commuting_drive(self):
         # H(t) does not commute with itself at other times; h ||H|| / hbar about 1
@@ -156,7 +136,7 @@ class TestTimeDependent:
             return energy * (0.5 * SIGMA_Z + 0.6 * np.cos(omega * t) * SIGMA_X
                              + 0.3 * np.sin(omega * t) * SIGMA_Y)
 
-        psi0 = normalize_state([1, 0.5j])
+        psi0 = unit_state(1, 0.5j)
         t_final = 20 * HBAR / energy
         exact = solve_ivp(lambda t, y: (-1j / HBAR) * (h_of_t(t) @ y), (0.0, t_final),
                           psi0, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
@@ -165,100 +145,105 @@ class TestTimeDependent:
             grid = TimeGrid(0.0, t_final / steps, steps)
             step_angle = max(np.linalg.norm(h_of_t(t), 2) for t in grid.times) * grid.dt / HBAR
             assert 0.45 < step_angle < 1.0
-            traj = evolve_time_dependent(h_of_t, psi0, grid)
-            assert np.abs(traj.norms - 1.0).max() < 1e-12
-            errors.append(np.abs(traj.states[-1] - exact).max())
+            states = cf4_states(h_of_t, psi0, grid.times)
+            assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
+            errors.append(np.abs(states[-1] - exact).max())
         assert errors[0] / errors[1] >= 12.0
 
-    @pytest.mark.parametrize("h_of_t", [np.eye(3), lambda t: t * np.eye(3)],
-                             ids=["constant", "callable"])
-    def test_dimension_mismatch(self, h_of_t):
-        with pytest.raises(DimensionMismatchError):
-            evolve_time_dependent(h_of_t, PSI0, TimeGrid(0.0, 1e-15, 2))
+    def test_zero_amplitude_drive_is_constant(self):
+        psi0 = unit_state(1, 2j)
+        states = cf4_states(lambda t: 0.0 * SIGMA_Z, psi0, TimeGrid(0.0, 1e-14, 100).times)
+        assert np.abs(states - psi0).max() < 1e-15
 
-    def test_substeps_validation(self):
-        with pytest.raises(DomainError):
-            evolve_time_dependent(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-15, 1),
-                                  substeps=0)
+    def test_magnus_bound_raises_for_a_callable(self):
+        # h ||H(t)|| / hbar about 9.5, with the drive varying inside the step
+        h_of_t = lambda t: 1e-20 * (np.cos(1e13 * t) * SIGMA_X + SIGMA_Z)  # noqa: E731
+        with pytest.raises(AssertionError, match="CF4 step angle .* reaches pi"):
+            cf4_states(h_of_t, PSI0, TimeGrid(0.0, 1e-13, 50).times)
 
-
-class TestMaster:
-    def test_maximally_mixed_is_stationary(self):
-        rho0 = 0.5 * IDENTITY_2
-        traj = evolve_master(rho0, rabi_hamiltonian(), TimeGrid(0.0, 1e-14, 200))
-        assert np.abs(traj.densities - rho0).max() < 1e-12
-
-    def test_energy_eigenstate_is_stationary(self):
-        H = 0.5 * 7.55e-23 * SIGMA_Z
-        rho0 = density_from_state(PSI0)
-        traj = evolve_master(rho0, H, TimeGrid(0.0, 1e-14, 200))
-        assert np.abs(traj.bloch - traj.bloch[0]).max() < 1e-10
-
-    def test_matches_pure_state_path(self):
-        # the commutator sign convention must reproduce Schrodinger evolution
-        H = build_approximate(default_params("charge"))
-        psi0 = normalize_state([2, -1j])
-        grid = TimeGrid(0.0, 2.5e-15, 400)
-        pure = propagate_static(H, psi0, grid)
-        mixed = evolve_master(density_from_state(psi0), H, grid)
-        assert np.abs(pure.bloch - mixed.bloch).max() < 1e-8
-
-    def test_trace_and_hermiticity_preserved(self):
-        H = build_approximate(default_params("charge"))
-        rho0 = density_from_state(normalize_state([1, 1j]))
-        traj = evolve_master(rho0, H, TimeGrid(0.0, 2.5e-15, 400))
-        assert np.abs(traj.norms - 1.0).max() < 1e-10
-        assert np.abs(traj.densities - traj.densities.conj().transpose(0, 2, 1)).max() < 1e-10
+    def test_identity_part_does_not_trip_the_magnus_bound(self):
+        # 1e-20 I alone is about 9.5 per step, but only a global phase
+        times = TimeGrid(0.0, 1e-13, 50).times
+        shifted = cf4_states(lambda t: 1e-20 * IDENTITY_2 + 1e-23 * SIGMA_X, PSI0, times)
+        plain = cf4_states(lambda t: 1e-23 * SIGMA_X, PSI0, times)
+        phase = np.exp(-1j * 1e-20 * times / HBAR)
+        assert np.abs(shifted - phase[:, None] * plain).max() < 1e-12
 
 
-    def test_exact_on_a_coarse_grid(self):
-        # ||H|| dt / hbar about 2: no step size limit, the eigenbasis phases are exact
-        H = 1e-22 * (0.3 * SIGMA_X + 0.9 * SIGMA_Z)
-        grid = TimeGrid(0.0, 2 * HBAR / np.linalg.norm(H, 2), 50)
-        psi0 = normalize_state([2, -1j])
-        pure = propagate_static(H, psi0, grid)
-        mixed = evolve_master(density_from_state(psi0), H, grid)
-        assert np.abs(pure.bloch - mixed.bloch).max() < 1e-12
-        assert np.abs(mixed.norms - 1.0).max() < 1e-12
-        assert np.abs(mixed.densities - mixed.densities.conj().transpose(0, 2, 1)).max() < 1e-12
+def test_three_methods_agree():
+    # the eigendecomposition kernel, CF4 and one matrix exponential per sample
+    H = build_approximate(default_params("charge"))
+    psi0 = unit_state(2, -1j)
+    grid = TimeGrid(0.0, 2.5e-15, 400)
+    a = propagate_static(H, psi0, grid).states
+    b = cf4_states(lambda t: H.traceless(), psi0, grid.times)
+    c = np.array([matrix_exponential(-1j * H.traceless() * t / HBAR) @ psi0
+                  for t in grid.times])
+    assert np.abs(a - b).max() < 1e-10
+    assert np.abs(a - c).max() < 1e-10
 
 
-class TestObservableSeries:
+class TestReadout:
+    """The Bloch vector, <sigma> and leakage columns read from a state history."""
+
     def test_sigma_x_equals_bloch_x(self):
-        traj = propagate_static(rabi_hamiltonian(), normalize_state([1, 1j]),
-                                TimeGrid(0.0, 1e-13, 300))
-        assert np.abs(observable_series(traj, SIGMA_X) - traj.bloch[:, 0]).max() < 1e-10
-
-    def test_identity_gives_one(self):
-        traj = propagate_static(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-13, 50))
-        assert np.abs(observable_series(traj, IDENTITY_2) - 1.0).max() < 1e-12
+        traj = propagate_static(rabi_hamiltonian(), unit_state(1, 1j), TimeGrid(0.0, 1e-13, 300))
+        direct = np.einsum("ki,ij,kj->k", traj.states.conj(), SIGMA_X, traj.states).real
+        assert np.abs(traj.expectations["sx"] - direct).max() < 1e-12
+        assert np.abs(traj.expectations["sx"] - traj.bloch[:, 0]).max() < 1e-15
 
     def test_sigma_z_rabi_cosine(self):
         grid = TimeGrid(0.0, 2e-13, 400)
         traj = propagate_static(rabi_hamiltonian(), PSI0, grid)
         expected = np.cos(E_J_REF * grid.times / HBAR)
-        assert np.abs(observable_series(traj, SIGMA_Z) - expected).max() < 1e-9
+        assert np.abs(traj.expectations["sz"] - expected).max() < 1e-9
 
-    def test_missing_history(self):
-        traj = BlochTrajectory(np.array([0.0]), np.array([[0.0, 0.0, 1.0]]))
-        with pytest.raises(MissingDataError):
-            observable_series(traj, SIGMA_Z)
+    def test_two_level_run_has_no_leakage(self):
+        traj = propagate_static(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-13, 50))
+        assert traj.leakage is None
+        assert traj.states.shape == (51, 2)
 
-    def test_shape_mismatch(self):
-        traj = propagate_static(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-14, 5))
+    def test_fock_bloch_is_the_renormalized_qubit_projection(self):
+        H = build_fock(default_params("charge"), 8)
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[:2] = unit_state(0.6, 0.8j)
+        traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 100))
+        captured = (np.abs(traj.states[:, :2]) ** 2).sum(axis=1)
+        assert np.abs(traj.leakage - (1.0 - captured)).max() < 1e-12
+        sigma = np.column_stack([traj.expectations[k] for k in ("sx", "sy", "sz")])
+        assert np.abs(traj.bloch * captured[:, None] - sigma).max() < 1e-12
+        # the qubit projection of a pure state is pure: the Bloch vector stays unit length
+        assert np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0).max() < 1e-12
+
+
+class TestBlochTrajectory:
+    def test_final_bloch_is_the_last_sample(self):
+        traj = propagate_static(rabi_hamiltonian(), PSI0, TimeGrid(0.0, 1e-13, 20))
+        assert np.array_equal(traj.final_bloch, traj.bloch[-1])
+
+    def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            observable_series(traj, np.eye(3))
+            BlochTrajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 1.0]]))
+
+    def test_rejects_outside_ball(self):
+        with pytest.raises(DomainError, match="unit ball"):
+            BlochTrajectory(np.array([0.0]), np.array([[1.0, 1.0, 0.0]]))
 
 
-def test_three_methods_agree():
-    H = build_approximate(default_params("charge"))
-    psi0 = normalize_state([2, -1j])
-    grid = TimeGrid(0.0, 2.5e-15, 400)
-    a = propagate_static(H, psi0, grid).bloch
-    b = evolve_time_dependent(H, psi0, grid, substeps=4).bloch
-    c = evolve_master(density_from_state(psi0), H, grid).bloch
-    assert np.abs(a - b).max() < 1e-8
-    assert np.abs(a - c).max() < 1e-8
+class TestDriftCheck:
+    def test_abort_threshold_raises(self):
+        with pytest.raises(IntegrationError, match="state norm drifted by 2.000e-04"):
+            _check_drift(2e-4, "state norm")
+
+    def test_degraded_run_is_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="scqsim.evolution"):
+            _check_drift(1e-6, "state norm")
+        assert "state norm drift 1.000e-06 exceeds 1e-08" in caplog.text
+
+    def test_clean_run_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="scqsim.evolution"):
+            _check_drift(DRIFT_WARN, "state norm")
+        assert caplog.text == ""
 
 
 class TestTrajectoryCsv:
@@ -277,7 +262,7 @@ class TestTrajectoryCsv:
     def test_fock_run_with_leakage_column(self):
         H = build_fock(default_params("charge"), 8)
         psi0 = np.zeros(8, dtype=complex)
-        psi0[:2] = normalize_state([0.6, 0.8j])
+        psi0[:2] = unit_state(0.6, 0.8j)
         traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 100))
         stream = io.StringIO()
         write_trajectory_csv(traj, stream)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import unit_state
 from oracles import (
     lyapunov_columns,
     naive_csv,
@@ -25,12 +26,11 @@ from oracles import (
 )
 
 from scqsim import export, floattext
-from scqsim.core import normalize_state
 from scqsim.evolution import BlochTrajectory, TimeGrid, propagate_static
 from scqsim.hamiltonians import build_exact_two_level, build_fock, default_params
 from scqsim.lyapunov import BilinearParams, Gains, LyapunovRun, simulate_closed_loop
 
-PSI0 = normalize_state([0.6, 0.8j])
+PSI0 = unit_state(0.6, 0.8j)
 R0 = np.array([0.4444444444444444, -0.8888888888888889, -0.1111111111111111])
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,17 +12,17 @@ from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from scqsim.errors import DomainError, TruncationError
 from scqsim import hamiltonians
 from scqsim.hamiltonians import (
+    HamiltonianOperator,
     QubitParams,
     annihilation_operator,
     build,
     build_approximate,
     build_exact_two_level,
     build_fock,
-    build_general,
     cosine_of,
     default_params,
-    driven_hamiltonian,
-    fock_convergence,
+    drive_coupling,
+    drive_free,
     induced_charge,
     number_phase_operators,
     zero_point_fluctuations,
@@ -99,7 +101,8 @@ class TestApproximate:
         assert abs(cx) < 1e-37
 
     def test_lcjj_is_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="approximate model covers charge, phase and flux; "
+                                              "use exact2 or fock:N for lcjj"):
             build_approximate(default_params("lcjj"))
 
     def test_warns_outside_charge_regime(self):
@@ -165,6 +168,37 @@ class TestExactTwoLevel:
         assert np.trace(SIGMA_X @ H_ex) == 0
         assert np.trace(SIGMA_Z @ H_ex) == 0
 
+    @pytest.mark.parametrize("slot,drives", [
+        ("V", (1e-6, 0.0, 0.0)),
+        ("I", (0.0, 1e-9, 0.0)),
+        ("phi_e", (0.0, 0.0, 0.1)),
+    ])
+    def test_drive_dependence_is_the_derivative(self, slot, drives):
+        # the traceless part is linear in each of (V, I, phi_e): dH/d(slot) is constant
+        p = QubitParams("lcjj", E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
+                        C_g=0.68e-15, E_LJ0=1.359e-24)
+        V, I, phi_e = drives
+        H0 = build_exact_two_level(p)
+        H1 = build_exact_two_level(replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e))
+        delta = dict(zip(("V", "I", "phi_e"), drives))[slot]
+        finite_diff = (H1.traceless() - H0.traceless()) / delta
+        assert np.allclose(finite_diff, H1.drive_dependence[slot], rtol=1e-9)
+
+    def test_lcjj_voltage_drive_coefficient(self):
+        p = replace(default_params("lcjj"), n_g=induced_charge(0.68e-15, 1e-6))
+        n_zpf, _ = p.zpf()
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p).traceless())
+        assert cy == pytest.approx(-2 * p.E_c * n_zpf * induced_charge(p.C_g, 1e-6),
+                                   rel=1e-12)
+        assert cx == 0.0 and cz == 0.0
+
+    def test_lcjj_current_drive_coefficient(self):
+        p = replace(default_params("lcjj"), I_g=1e-9)
+        _, phi_zpf = p.zpf()
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p).traceless())
+        assert cx == pytest.approx(-HBAR / (2 * E_CHARGE) * phi_zpf * 1e-9, rel=1e-12)
+        assert cy == 0.0 and cz == 0.0
+
 
 def fock_oracle(p, n_levels):
     """Direct ladder construction with a series cosine."""
@@ -184,6 +218,13 @@ def fock_oracle(p, n_levels):
     if p.qubit_kind in ("flux", "lcjj"):
         H = H + 0.5 * p.E_L * (phi_op - p.phi_e * eye) @ (phi_op - p.phi_e * eye)
     return H
+
+
+def lowest_level_shift(p, n_levels):
+    """Relative shift of the two lowest Fock levels when the truncation doubles."""
+    small = np.linalg.eigvalsh(build_fock(p, n_levels).matrix)[:2]
+    large = np.linalg.eigvalsh(build_fock(p, 2 * n_levels).matrix)[:2]
+    return float(np.abs(small - large).max() / np.abs(large).max())
 
 
 class TestFock:
@@ -234,77 +275,46 @@ class TestFock:
         # cos wells, or near-degenerate well copies pollute the low spectrum
         E_c = 1e-24
         p = QubitParams("charge", E_c=E_c, E_J=200 * E_c, n_g=0.0, E_LJ0=200 * E_c)
-        assert fock_convergence(p, 32) < 1e-6
+        assert lowest_level_shift(p, 32) < 1e-6
 
     def test_large_gate_charge_not_converged_at_shallow_truncation(self):
         # the 1 mV gate offsets the charge operator by ~14 zero-point widths,
         # so the two lowest levels are nowhere near converged at N = 4 vs 8
-        assert fock_convergence(default_params("charge"), 4) > 1e-2
+        assert lowest_level_shift(default_params("charge"), 4) > 1e-2
+
+    def test_lcjj_carries_all_three_drive_slots(self):
+        H = build(default_params("lcjj"), "fock")
+        assert H.matrix.shape == (8, 8) and H.model == "fock"
+        assert set(H.drive_dependence) == {"V", "I", "phi_e"}
+
+    def test_ladder_commutator(self):
+        # [a, a^dag] = I on every level but the last, which the truncation cuts
+        a = annihilation_operator(6)
+        commutator = a @ a.conj().T - a.conj().T @ a
+        assert np.allclose(commutator, np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -5.0]), atol=1e-14)
+
+    def test_charge_and_phase_are_conjugate(self):
+        # n_zpf phi_zpf = 1/2 gives [n, phi] = i [a, a^dag]: i below the truncation edge
+        n_op, phi_op = number_phase_operators(default_params("flux"), 6)
+        commutator = n_op @ phi_op - phi_op @ n_op
+        assert np.allclose(commutator[:5, :5], 1j * np.eye(5), atol=1e-12)
+        assert np.abs(n_op - n_op.conj().T).max() == 0.0
+        assert np.abs(phi_op - phi_op.conj().T).max() == 0.0
 
 
-class TestBuildGeneral:
-    def test_zero_drives_freeze(self):
-        H = build_general(default_params("lcjj"), 0.0, 0.0, 0.0)
-        assert np.abs(H.traceless()).max() < 1e-30
-
-    def test_voltage_drive_coefficient(self):
-        p = default_params("lcjj")
-        n_zpf, _ = p.zpf()
-        H = build_general(p, 1e-6, 0.0, 0.0)
-        cx, cy, cz = pauli_coefficients(H.traceless())
-        assert cy == pytest.approx(-2 * p.E_c * n_zpf * induced_charge(p.C_g, 1e-6),
-                                   rel=1e-12)
-        assert cx == 0.0 and cz == 0.0
-
-    def test_current_drive_coefficient(self):
-        p = default_params("lcjj")
-        _, phi_zpf = p.zpf()
-        H = build_general(p, 0.0, 1e-9, 0.0)
-        cx, cy, cz = pauli_coefficients(H.traceless())
-        assert cx == pytest.approx(-HBAR / (2 * E_CHARGE) * phi_zpf * 1e-9, rel=1e-12)
-        assert cy == 0.0 and cz == 0.0
-
-    @pytest.mark.parametrize("slot,args", [
-        ("V", (1e-6, 0.0, 0.0)),
-        ("I", (0.0, 1e-9, 0.0)),
-        ("phi_e", (0.0, 0.0, 0.1)),
-    ])
-    def test_drive_linearity(self, slot, args):
-        p = QubitParams("lcjj", E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
-                        C_g=0.68e-15, E_LJ0=1.359e-24)
-        H0 = build_general(p, 0.0, 0.0, 0.0)
-        H1 = build_general(p, *args)
-        delta = dict(zip(("V", "I", "phi_e"), args))[slot]
-        finite_diff = (H1.traceless() - H0.traceless()) / delta
-        assert np.allclose(finite_diff, H1.drive_dependence[slot], rtol=1e-9)
-
-    def test_other_kinds_rejected(self):
-        with pytest.raises(DomainError):
-            build_general(default_params("charge"), 0.0, 0.0, 0.0)
-
-    def test_fock_variant(self):
-        p = default_params("lcjj")
-        H = build_general(p, 1e-6, 0.0, 0.0, n_levels=8)
-        assert H.matrix.shape == (8, 8)
-        assert H.model == "fock"
-
-
-class TestDrivenHamiltonian:
+class TestDriveFree:
     def test_matches_static_rebuild(self):
         p = default_params("charge")
-        h_of_t = driven_hamiltonian(p, "exact_two_level",
-                                    {"V": lambda t: 2e-3 * np.sin(1e11 * t)})
-        from dataclasses import replace
+        static, (drive,) = drive_free(p, "exact_two_level", ["V"])
         for t in (0.0, 3e-13, 7e-13):
             V = 2e-3 * np.sin(1e11 * t)
             expected = build_exact_two_level(
                 replace(p, n_g=induced_charge(p.C_g, V))).traceless()
-            assert np.allclose(h_of_t(t), expected, atol=1e-40)
+            assert np.allclose(static + V * drive, expected, atol=1e-40)
 
     def test_unknown_slot_rejected(self):
         with pytest.raises(DomainError):
-            driven_hamiltonian(default_params("charge"), "exact_two_level",
-                               {"I": lambda t: 0.0})
+            drive_free(default_params("charge"), "exact_two_level", ["I"])
 
     @pytest.mark.parametrize("kind, model, slot, field, amplitude", [
         ("phase", "approximate", "I", "I_g", 2e-3),
@@ -313,22 +323,22 @@ class TestDrivenHamiltonian:
     ])
     def test_models_match_static_rebuilds(self, kind, model, slot, field, amplitude):
         # the fock model takes 8 levels by default
-        from dataclasses import replace
         p = default_params(kind)
-        h_of_t = driven_hamiltonian(p, model, {slot: lambda t: amplitude * np.sin(1e11 * t)})
+        static, (drive,) = drive_free(p, model, [slot])
         for t in (0.0, 3e-13, 7e-13, 2e-12):
-            value = amplitude * np.sin(1e11 * t)
+            signal = value = amplitude * np.sin(1e11 * t)
             if slot == "V":
                 value = induced_charge(p.C_g, value)
             rebuilt = replace(p, **{field: value})
             H = build_approximate(rebuilt) if model == "approximate" else build_fock(rebuilt, 8)
             expected = H.traceless()
-            assert h_of_t(t).shape == expected.shape
-            assert np.allclose(h_of_t(t), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            assert static.shape == expected.shape
+            assert np.allclose(static + signal * drive, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DomainError, match="unknown model"):
-            driven_hamiltonian(default_params("charge"), "exact", {"V": lambda t: 0.0})
+            drive_free(default_params("charge"), "exact", ["V"])
         with pytest.raises(DomainError, match="unknown model"):
             build(default_params("charge"), "approx")
 
@@ -346,3 +356,44 @@ class TestBuild:
         H = build(default_params("phase"), model, 6)
         assert len(calls) == 1 and H.model == model
         assert H.dim == (6 if model == "fock" else 2)
+
+    def test_fock_takes_eight_levels_by_default(self):
+        assert build(default_params("charge"), "fock").dim == 8
+        assert build(default_params("charge"), "fock", 5).dim == 5
+
+
+class TestHamiltonianOperator:
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(DomainError, match="Hermitian"):
+            HamiltonianOperator(np.array([[0, 1], [0, 0]]), "approximate")
+
+    def test_traceless_removes_the_offset(self):
+        H = HamiltonianOperator(2.5 * np.eye(3) + np.diag([1.0, 0.0, -1.0]), "fock", 2.5)
+        assert H.dim == 3
+        assert np.array_equal(H.traceless(), np.diag([1.0, 0.0, -1.0]).astype(complex))
+
+    def test_matrix_stored_as_complex(self):
+        H = HamiltonianOperator([[1, 0], [0, -1]], "approximate")
+        assert H.matrix.dtype == complex
+
+
+class TestDefaultParams:
+    @pytest.mark.parametrize("kind", ["charge", "phase", "flux", "lcjj"])
+    def test_reference_sets_fix_the_operator_scales(self, kind):
+        p = default_params(kind)
+        n_zpf, phi_zpf = p.zpf()
+        assert p.qubit_kind == kind
+        assert n_zpf * phi_zpf == pytest.approx(0.5, rel=1e-15)
+
+    def test_charge_gate_is_one_millivolt(self):
+        p = default_params("charge")
+        assert p.n_g == induced_charge(0.68e-15, 1e-3)
+        assert p.n_g == pytest.approx(0.68e-15 * 1e-3 / (2 * E_CHARGE), rel=1e-15)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="unknown qubit kind"):
+            default_params("transmon")
+
+    def test_lcjj_has_no_microwave_coupling(self):
+        with pytest.raises(DomainError, match="no microwave drive inversion"):
+            drive_coupling("lcjj", default_params("lcjj"))

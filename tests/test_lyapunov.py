@@ -9,11 +9,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
-from oracles import naive_closed_loop, naive_lyapunov_csv, reduced_loop_rk4
+from oracles import bilinear_rhs, naive_closed_loop, naive_lyapunov_csv, reduced_loop_rk4
 
+from scqsim.constants import HBAR
 from scqsim.errors import DomainError, IntegrationError
 from scqsim.evolution import BlochTrajectory, TimeGrid
 from scqsim.export import write_lyapunov_csv
+from scqsim.hamiltonians import default_params
 from scqsim.lyapunov import (
     FREEZE_DISPLACEMENT,
     NORM_CEILING,
@@ -24,8 +26,6 @@ from scqsim.lyapunov import (
     LyapunovRun,
     _check_norm_band,
     _closed_loop_steps,
-    bilinear_rhs,
-    default_bilinear_params,
     feedback_controls,
     lyapunov_value,
     simulate_closed_loop,
@@ -33,30 +33,30 @@ from scqsim.lyapunov import (
 
 R0 = np.array([4 / 9, -8 / 9, -1 / 9])
 RF = np.array([0.0, 0.0, 1.0])
-PARAMS = default_bilinear_params()
+PARAMS = BilinearParams.from_qubit(default_params("lcjj"))
 GAINS = Gains(2.0, 10.0)
 
 param_scale = st.floats(min_value=0.05, max_value=20.0)
 
 
 def scaled_params(s):
-    return BilinearParams(E_c=PARAMS.E_c * s, E_L=PARAMS.E_L, C_g=PARAMS.C_g * s,
+    return BilinearParams(E_c=PARAMS.E_c * s, C_g=PARAMS.C_g * s,
                           n_zpf=PARAMS.n_zpf * s, phi_zpf=PARAMS.phi_zpf * s)
 
 
 class TestBilinearRhs:
     @given(unit_bloch_vectors())
     def test_zero_drive_is_equilibrium(self, r):
-        assert np.all(bilinear_rhs(r, 0.0, 0.0, 0.0, PARAMS) == 0.0)
+        assert np.all(bilinear_rhs(r, 0.0, 0.0, 0.0, 0.0, PARAMS) == 0.0)
 
     @given(st.floats(min_value=-1e-3, max_value=1e-3),
            st.floats(min_value=-1e-6, max_value=1e-6))
     def test_equator_freezes_xy(self, V, I):
-        rdot = bilinear_rhs([0.6, -0.8, 0.0], V, I, 0.0, PARAMS)
+        rdot = bilinear_rhs([0.6, -0.8, 0.0], V, I, 0.0, 0.0, PARAMS)
         assert rdot[0] == 0.0 and rdot[1] == 0.0
 
     def test_voltage_channel(self):
-        rdot = bilinear_rhs([0, 0, 1], 1e-6, 0.0, 0.0, PARAMS)
+        rdot = bilinear_rhs([0, 0, 1], 1e-6, 0.0, 0.0, 0.0, PARAMS)
         assert rdot[0] == pytest.approx(-PARAMS.c_V * 1e-6, rel=1e-12)
         assert rdot[1] == 0.0 and rdot[2] == 0.0
 
@@ -64,9 +64,8 @@ class TestBilinearRhs:
            st.floats(min_value=-1e-7, max_value=1e-7),
            st.floats(min_value=-0.5, max_value=0.5))
     def test_tangent_to_the_sphere(self, r, V, I, phi):
-        p = BilinearParams(E_c=PARAMS.E_c, E_L=6e-23, C_g=PARAMS.C_g,
-                           n_zpf=PARAMS.n_zpf, phi_zpf=PARAMS.phi_zpf)
-        rdot = bilinear_rhs(r, V, I, phi, p)
+        c_phi = 2 * 6e-23 * PARAMS.phi_zpf / HBAR  # E_L = 6e-23 J
+        rdot = bilinear_rhs(r, V, I, phi, c_phi, PARAMS)
         scale = max(np.abs(rdot).max(), 1e-300)
         assert abs(np.dot(r, rdot)) < 1e-12 * scale
 
@@ -94,7 +93,7 @@ class TestFeedbackControls:
                 return
         p = scaled_params(s)
         V, I = feedback_controls(r, rf, GAINS, p)
-        rdot = bilinear_rhs(r, V, I, 0.0, p)
+        rdot = bilinear_rhs(r, V, I, 0.0, 0.0, p)
         w = r[0] * rf[2] - rf[0] * r[2]
         u = rf[1] * r[2] - r[1] * rf[2]
         expected = np.array([-GAINS.alpha * w * r[2], GAINS.beta * u * r[2],
@@ -487,4 +486,4 @@ class TestValidation:
 
     def test_params_must_be_positive(self):
         with pytest.raises(DomainError):
-            BilinearParams(E_c=0.0, E_L=0.0, C_g=1e-15, n_zpf=0.1, phi_zpf=3.0)
+            BilinearParams(E_c=0.0, C_g=1e-15, n_zpf=0.1, phi_zpf=3.0)
