@@ -1,7 +1,8 @@
 """Command-line front end: simulate evolutions, design drives, run experiments.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/integration failure,
-4 I/O failure. All diagnostics go to stderr; results go to --out or stdout.
+Exit codes: 0 success, 2 configuration error, 3 numeric/integration failure
+(a float overflow included), 4 I/O failure. All diagnostics go to stderr;
+results go to --out or stdout.
 """
 
 import argparse
@@ -34,10 +35,10 @@ def _output(path):
 def run_simulate(cfg: RunConfig) -> int:
     """evolve a state under a static circuit Hamiltonian"""
     grid = TimeGrid(0.0, cfg.dt, cfg.steps)
-    H = build(cfg.params, cfg.model, cfg.n_levels)
+    H, _ = build(cfg.params, cfg.model, cfg.n_levels)
     psi0 = cfg.psi0
-    if H.dim > 2 and psi0.size == 2:
-        padded = np.zeros(H.dim, dtype=complex)
+    if len(H) > 2 and psi0.size == 2:
+        padded = np.zeros(len(H), dtype=complex)
         padded[:2] = psi0
         psi0 = padded
     traj = propagate_static(H, psi0, grid)
@@ -197,8 +198,9 @@ def main(argv=None) -> int:
             parser.error("a subcommand or --config is required")
         else:
             cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
-    except (IntegrationError, NumericError) as exc:
+        with np.errstate(over="raise"):
+            return _DISPATCH[cfg.command](cfg)
+    except (IntegrationError, NumericError, OverflowError, FloatingPointError) as exc:
         print(f"scqsim: numeric failure: {exc}", file=sys.stderr)
         return 3
     except SimulationError as exc:

@@ -1,4 +1,4 @@
-"""Pauli matrices, the Bloch vector of a two-level state and the matrix exponential.
+"""Pauli matrices, the Bloch vector of a two-level state and a scaled norm.
 
 States are plain complex ndarrays; Bloch vectors are real length-3 ndarrays.
 All functions are pure and never mutate their arguments.
@@ -6,7 +6,7 @@ All functions are pure and never mutate their arguments.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError, NumericError
+from .errors import DimensionMismatchError, InvalidStateError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -14,7 +14,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 NORM_TOL = 1e-6
-HERMITICITY_TOL = 1e-12
 
 
 def scaled_norm(x: np.ndarray):
@@ -48,30 +47,3 @@ def bloch_from_state(psi) -> np.ndarray:
     w = np.conj(a) * b
     return np.array([2 * w.real, 2 * w.imag, abs(a) ** 2 - abs(b) ** 2])
 
-
-def is_hermitian(A, tol=HERMITICITY_TOL) -> bool:
-    A = np.asarray(A)
-    scale = max(1.0, np.abs(A).max())
-    return bool(np.abs(A - A.conj().T).max() <= tol * scale)
-
-
-def matrix_exponential(A) -> np.ndarray:
-    """exp(A) for a small complex square matrix.
-
-    Hermitian and skew-Hermitian generators go through an eigendecomposition,
-    which keeps propagators exactly unitary; anything else falls back to
-    scipy's scaling-and-squaring (imported here, so scipy loads only then).
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError("matrix exponential needs a square matrix")
-    if not np.all(np.isfinite(A.view(float))):
-        raise NumericError("matrix exponential of a non-finite matrix")
-    if is_hermitian(A):
-        w, v = np.linalg.eigh(A)
-        return (v * np.exp(w)) @ v.conj().T
-    if is_hermitian(1j * A):
-        w, v = np.linalg.eigh(1j * A)  # A = -i B with B Hermitian
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    import scipy.linalg
-    return scipy.linalg.expm(A)

@@ -31,8 +31,7 @@ from .errors import (
     UnreachableAxisError,
 )
 from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_static
-from .hamiltonians import (DRIVE_SLOTS, HamiltonianOperator, QubitParams, drive_coupling,
-                           drive_free)
+from .hamiltonians import DRIVE_SLOTS, QubitParams, drive_coupling, drive_free
 
 # (ax, ay, az) per kind: the rotating-frame drive is k amp (ax Q sx - ay I sy + az Q sz),
 # all powers of two; the flux drive couples like the phase drive
@@ -133,6 +132,8 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
         raise UnreachableAxisError("rotation axis must be a unit 3-vector")
     omega_c = carrier_frequency(kind, params)  # rejects kinds without a drive inversion
     k = drive_coupling(kind, params)
+    if k == 0.0:
+        raise DomainError(f"the {kind} qubit's drive coupling is zero: no signal can rotate it")
     ax, ay, az = _AXES[kind]
     tan_ratio = ay / ax        # of lambda
     amp_factor = 1 / (2 * ax)
@@ -167,35 +168,24 @@ def design_transfer(psi0, psif, t_f: float, params: QubitParams) -> tuple[Rotati
     return target, plan
 
 
-def rwa_hamiltonian(plan: DrivePlan, delta_omega: float, t: float) -> HamiltonianOperator:
-    """Rotating-frame drive Hamiltonian after dropping the fast terms.
+def effective_rotating_hamiltonian(plan: DrivePlan) -> np.ndarray:
+    """Resonant rotating-frame generator: the drive after dropping the fast terms,
 
-    charge:      (k amp / 8)  (sin(p) sx - 2 cos(p) sy + sin(p) sz)
-    phase/flux:  (k amp / 16) (sin(p) sx - 4 cos(p) sy - 4 sin(p) sz)
+    charge:      (k amp / 8)  (Q sx - 2 I sy + Q sz)
+    phase/flux:  (k amp / 16) (Q sx - 4 I sy - 4 Q sz)
 
-    with p = delta_omega * t + lambda. At resonance (delta_omega = 0) this is
-    time independent: the IQ-mixer form with Q = sin(lambda), I = cos(lambda).
+    with Q = sin(lambda), I = cos(lambda) (the IQ-mixer form), plus the dc term
+    k dc sz. Equals (hbar omega_q / 2) n.sigma for a plan produced by design_drive.
     """
     ax, ay, az = _AXES[plan.qubit_kind]
-    phase = delta_omega * t + plan.lam
-    Q = math.sin(phase)
-    I = math.cos(phase)
+    Q = math.sin(plan.lam)
+    I = math.cos(plan.lam)
     # scale times ax first, then the ratios (2, 1 or 4, -4): powers of two, so the
     # order changes no bits but where a product is subnormal, and there it matches
     # the per-kind forms above
-    matrix = (plan.k * plan.amplitude * ax) * (Q * SIGMA_X - ay / ax * I * SIGMA_Y
-                                               + az / ax * Q * SIGMA_Z)
-    return HamiltonianOperator(matrix, "approximate")
-
-
-def effective_rotating_hamiltonian(plan: DrivePlan) -> HamiltonianOperator:
-    """Resonant rotating-frame generator including the dc sigma_z term.
-
-    Equals (hbar omega_q / 2) n.sigma for a plan produced by design_drive.
-    """
-    rwa = rwa_hamiltonian(plan, 0.0, 0.0)
-    matrix = rwa.matrix + plan.k * plan.dc_offset * SIGMA_Z
-    return HamiltonianOperator(matrix, "approximate")
+    rwa = (plan.k * plan.amplitude * ax) * (Q * SIGMA_X - ay / ax * I * SIGMA_Y
+                                            + az / ax * Q * SIGMA_Z)
+    return rwa + plan.k * plan.dc_offset * SIGMA_Z
 
 
 def bloch_fidelity(r, rf) -> float:
@@ -208,7 +198,6 @@ class TransferResult:
     trajectory: BlochTrajectory
     fidelity: float
     r_final: np.ndarray
-    r_target: np.ndarray
 
 
 def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
@@ -250,8 +239,7 @@ def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
     else:
         raise DomainError(f"unknown experiment model {model!r}")
     r_final = traj.final_bloch
-    return TransferResult(traj, bloch_fidelity(r_final, r_target), r_final,
-                          np.asarray(r_target, float))
+    return TransferResult(traj, bloch_fidelity(r_final, r_target), r_final)
 
 
 # ---------------------------------------------------------------------------

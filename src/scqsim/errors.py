@@ -37,9 +37,5 @@ class IntegrationError(SimulationError):
     """Time integration became unstable; reduce the step size."""
 
 
-class MissingDataError(SimulationError):
-    """Trajectory lacks the stored data needed for this computation."""
-
-
 class ConfigError(SimulationError):
     """Run configuration file is malformed."""

@@ -4,18 +4,18 @@ Every path propagates through one eigendecomposition kernel, exact up to
 roundoff: a static Hamiltonian, and a generator A f(t) with constant A given
 the integral of f (the drive replays). Every path is unitary by construction.
 Nothing is renormalized: norm drift is still checked on every path and is
-logged, not hidden.
+logged, not hidden. The kernel takes the Hamiltonian as a plain matrix and
+refuses one that is not finite or not Hermitian.
 """
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from .constants import HBAR
-from .errors import DimensionMismatchError, DomainError, IntegrationError
-from .hamiltonians import HamiltonianOperator
+from .errors import DimensionMismatchError, DomainError, IntegrationError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -72,13 +72,6 @@ class BlochTrajectory:
         return self.bloch[-1]
 
 
-def _as_matrix(H: Union[HamiltonianOperator, np.ndarray]) -> np.ndarray:
-    """Propagation matrix with any identity offset (a global phase) removed."""
-    if isinstance(H, HamiltonianOperator):
-        return H.traceless()
-    return np.asarray(H, dtype=complex)
-
-
 def _readout(times, p0, p1, coherence, total, norms, dim, states) -> BlochTrajectory:
     """Trajectory of a dim-level history from the populations p0, p1 of |0>, |1>,
     their coherence conj(a0) a1 = rho_10 and the total population, per sample."""
@@ -93,7 +86,7 @@ def _readout(times, p0, p1, coherence, total, norms, dim, states) -> BlochTrajec
 
 
 def _check_drift(drift: float, what: str):
-    if drift > DRIFT_ABORT:
+    if not drift <= DRIFT_ABORT:  # NaN too
         raise IntegrationError(f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT})")
     if drift > DRIFT_WARN:
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
@@ -117,13 +110,16 @@ def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
     if matrix.shape != (psi0.size, psi0.size):
         raise DimensionMismatchError(
             f"Hamiltonian shape {matrix.shape} does not match dim {psi0.size}")
+    if not np.isfinite(matrix).all():
+        raise NumericError("Hamiltonian has non-finite entries")
+    if np.abs(matrix - matrix.conj().T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
+        raise DomainError("Hamiltonian matrix must be Hermitian")
     w, v = np.linalg.eigh(matrix)
     phases = np.exp(-1j * np.outer(elapsed, w) / HBAR)
     states = (phases * (v.conj().T @ psi0)) @ v.T
     return _state_trajectory(times, states, psi0)
 
 
-def propagate_static(H: Union[HamiltonianOperator, np.ndarray], psi0,
-                     grid: TimeGrid) -> BlochTrajectory:
+def propagate_static(H: np.ndarray, psi0, grid: TimeGrid) -> BlochTrajectory:
     """Evolve |psi(t)> = exp(-i H t / hbar) |psi0> on the sampling grid."""
-    return _propagate_eigen(_as_matrix(H), psi0, grid.times, grid.times - grid.t0)
+    return _propagate_eigen(H, psi0, grid.times, grid.times - grid.t0)

@@ -20,7 +20,6 @@ from typing import IO
 
 import numpy as np
 
-from .errors import MissingDataError
 from .evolution import BlochTrajectory
 from .lyapunov import LyapunovRun
 
@@ -39,8 +38,6 @@ _JSON_OPEN, _JSON_SEPARATOR = np.frombuffer(b"[\n    \0\0,\n    \0\0", dtype="<u
 
 
 def _trajectory_columns(traj: BlochTrajectory):
-    if traj.norms is None:
-        raise MissingDataError("trajectory has no norm series to export")
     columns = [traj.times, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
                traj.expectations["sx"], traj.expectations["sy"],
                traj.expectations["sz"], traj.norms]

@@ -12,16 +12,20 @@ circuits each come in two flavors:
 
 ``fock`` builds the same circuit Hamiltonians on an N-level oscillator ladder
 with n = i n_zpf (a - a^dag) and phi = phi_zpf (a + a^dag).
+
+Each builder returns ``(matrix, drives)``: the traceless matrix (the identity
+offset only contributes a global phase to closed dynamics) and the constant
+dH/d(slot) per drive slot ("V", "I", "phi_e").
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
-from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, matrix_exponential
+from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .errors import DomainError, TruncationError
 
 QUBIT_KINDS = ("charge", "phase", "flux", "lcjj")
@@ -93,37 +97,6 @@ class QubitParams:
         return zero_point_fluctuations(self.E_c, self.E_LJ0)
 
 
-@dataclass(frozen=True)
-class HamiltonianOperator:
-    """A Hermitian qubit Hamiltonian with its drive sensitivities.
-
-    ``matrix`` is the full operator including the identity offset
-    ``identity_offset`` (which only contributes a global phase to closed
-    dynamics). ``drive_dependence`` maps a drive name ("V", "I", "phi_e") to
-    the constant, identity-free matrix dH/d(drive).
-    """
-
-    matrix: np.ndarray
-    model: str  # "approximate" | "exact_two_level" | "fock"
-    identity_offset: float = 0.0
-    drive_dependence: Mapping[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-            raise DomainError("Hamiltonian matrix must be Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def traceless(self) -> np.ndarray:
-        """Matrix with the identity offset removed."""
-        return self.matrix - self.identity_offset * np.eye(self.dim)
-
-
 def _charge_validity_warning(p: QubitParams):
     if p.qubit_kind == "charge" and p.E_c < 10.0 * p.E_J:
         warnings.warn(
@@ -147,7 +120,7 @@ def drive_coupling(kind: str, p: QubitParams) -> float:
     raise DomainError(f"no microwave drive inversion for kind {kind!r}")
 
 
-def build_approximate(p: QubitParams) -> HamiltonianOperator:
+def build_approximate(p: QubitParams) -> tuple[np.ndarray, dict]:
     """Approximate (driven two-level) Hamiltonian of a charge, phase or flux qubit.
 
     charge: E_c (1/2 - n_g) sigma_z + (E_J / 2) sigma_x
@@ -169,18 +142,16 @@ def build_approximate(p: QubitParams) -> HamiltonianOperator:
         hz = -0.5 * p.E_c
         hx = 0.5 * p.E_J + k * (p.I_g if p.qubit_kind == "phase" else p.phi_e)
         channel = SIGMA_X
-    matrix = hz * SIGMA_Z + hx * SIGMA_X
-    return HamiltonianOperator(matrix, "approximate", 0.0,
-                               {DRIVE_SLOTS[p.qubit_kind]: k * channel})
+    return hz * SIGMA_Z + hx * SIGMA_X, {DRIVE_SLOTS[p.qubit_kind]: k * channel}
 
 
-def build_exact_two_level(p: QubitParams) -> HamiltonianOperator:
+def build_exact_two_level(p: QubitParams) -> tuple[np.ndarray, dict]:
     """Circuit Hamiltonian under the substitution n -> n_zpf sigma_y, phi -> phi_zpf sigma_x.
 
     Since sigma_k^2 = I the cosine collapses: cos(phi_zpf sigma_x) =
     cos(phi_zpf) I. The resulting traceless part couples only through the
     drive terms; with all drives at zero the operator is a pure identity
-    offset and the state is frozen.
+    offset, the returned matrix is zero and the state is frozen.
     """
     n_zpf, phi_zpf = p.zpf()
     hx = hy = 0.0
@@ -203,7 +174,7 @@ def build_exact_two_level(p: QubitParams) -> HamiltonianOperator:
         offset += 0.5 * p.E_L * (phi_zpf**2 + p.phi_e**2)
         dep["phi_e"] = -p.E_L * phi_zpf * SIGMA_X
     matrix = hx * SIGMA_X + hy * SIGMA_Y + offset * IDENTITY_2
-    return HamiltonianOperator(matrix, "exact_two_level", offset, dep)
+    return matrix - offset * np.eye(2), dep
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +194,14 @@ def number_phase_operators(p: QubitParams, n_levels: int) -> tuple[np.ndarray, n
 
 
 def cosine_of(phi_op: np.ndarray) -> np.ndarray:
-    """cos(phi) = (exp(i phi) + exp(-i phi)) / 2 for a Hermitian phi."""
-    plus = matrix_exponential(1j * phi_op)
+    """cos(phi) = (exp(i phi) + exp(-i phi)) / 2 for a Hermitian phi, with
+    exp(i phi) = exp(-i B), B = i (i phi) Hermitian, in B's eigenbasis."""
+    w, v = np.linalg.eigh(1j * (1j * phi_op))
+    plus = (v * np.exp(-1j * w)) @ v.conj().T
     return 0.5 * (plus + plus.conj().T)
 
 
-def build_fock(p: QubitParams, n_levels: int) -> HamiltonianOperator:
+def build_fock(p: QubitParams, n_levels: int) -> tuple[np.ndarray, dict]:
     """Circuit Hamiltonian on an ``n_levels``-dimensional oscillator ladder."""
     if n_levels < 4:
         raise TruncationError("Fock truncation needs at least 4 levels")
@@ -251,13 +224,14 @@ def build_fock(p: QubitParams, n_levels: int) -> HamiltonianOperator:
         H = H + 0.5 * p.E_L * (shifted @ shifted)
         dep["phi_e"] = -p.E_L * phi_op
     offset = float(np.trace(H).real / n_levels)
-    return HamiltonianOperator(H, "fock", offset, dep)
+    return H - offset * np.eye(n_levels), dep
 
 
-def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> HamiltonianOperator:
-    """The ``model`` Hamiltonian of ``p``: "approximate", "exact_two_level" or "fock"
-    (``n_levels`` levels, 8 if not given). Each call looks its builder up by module
-    name, so a wrapper set on one here (a profiler's, say) sees every build."""
+def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> tuple[np.ndarray, dict]:
+    """(matrix, drives) of the ``model`` Hamiltonian of ``p``: "approximate",
+    "exact_two_level" or "fock" (``n_levels`` levels, 8 if not given). Each call
+    looks its builder up by module name, so a wrapper set on one here (a
+    profiler's, say) sees every build."""
     if model == "approximate":
         return build_approximate(p)
     if model == "exact_two_level":
@@ -278,12 +252,12 @@ def drive_free(p: QubitParams, model: str, slots: Sequence[str],
     """(static, operators): the traceless ``model`` Hamiltonian of ``p`` with each slot's
     static field zeroed, and dH/d(slot) per slot. Signals s_k in the slots then give
     H(t) = static + sum_k s_k(t) operators[k], with nothing counted twice."""
-    base = build(replace(p, **{_DRIVE_ZERO_FIELD[slot]: 0.0 for slot in slots}),
-                 model, n_levels)
-    missing = [slot for slot in slots if slot not in base.drive_dependence]
+    static, drives = build(replace(p, **{_DRIVE_ZERO_FIELD[slot]: 0.0 for slot in slots}),
+                           model, n_levels)
+    missing = [slot for slot in slots if slot not in drives]
     if missing:
         raise DomainError(f"{p.qubit_kind} qubit has no drive slot for {missing}")
-    return base.traceless(), [base.drive_dependence[slot] for slot in slots]
+    return static, [drives[slot] for slot in slots]
 
 
 # ---------------------------------------------------------------------------

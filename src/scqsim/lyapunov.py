@@ -272,9 +272,6 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     gamma = lyapunov_value(bloch, rf)
     final_error = float(np.linalg.norm(bloch[-1] - rf))
     monotone = bool(np.all(np.diff(gamma) <= 1e-9))
-    traj = BlochTrajectory(grid.times, bloch,
-                           expectations={"sx": bloch[:, 0], "sy": bloch[:, 1],
-                                         "sz": bloch[:, 2]})
-    return LyapunovRun(traj, V, I, gamma,
+    return LyapunovRun(BlochTrajectory(grid.times, bloch), V, I, gamma,
                        converged=(final_error < 1e-3 and monotone),
                        final_error=final_error)

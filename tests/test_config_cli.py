@@ -215,6 +215,45 @@ class TestCliDesign:
         assert rc == 0
         assert json.loads(out.read_text())["kind"] == "charge"
 
+    @pytest.mark.parametrize("command, qubit, params", [
+        ("design", "charge", "C_g = 0\n"),
+        ("drive-run", "charge", "C_g = 0\n"),
+        ("design", "charge", "E_c = 0\n"),
+        ("design", "flux", "E_L = 0\n"),
+        ("design", "phase", "phi_zpf = 3e-309\n"),  # k = -(hbar / 2e) phi_zpf underflows
+    ])
+    def test_zero_drive_coupling_is_a_config_error(self, command, qubit, params, tmp_path,
+                                                   capsys):
+        # it used to end in a ZeroDivisionError traceback, exit 1
+        path = write(tmp_path, "p.params", params)
+        rc = main([command, "--qubit", qubit, "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
+                   "--tf", "1e-12", "--params", str(path), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"scqsim: configuration error: the {qubit} qubit's drive coupling is zero: "
+            "no signal can rotate it\n")
+
+
+class TestNumericOverflow:
+    """Runs whose numbers overflow exit 3 with one line on stderr. They used to exit 0
+    with nan rows, or end in an OverflowError or LinAlgError traceback."""
+
+    @pytest.mark.parametrize("args, params", [
+        (["simulate", "--qubit", "phase", "--t-final", "1e-12"], "E_c = 1e300\nE_J = 1e300\n"),
+        (["simulate", "--qubit", "charge", "--model", "fock:8", "--t-final", "1e-12"],
+         "E_c = 1e308\nn_g = 1e10\nn_zpf = 1\n"),
+        (["simulate", "--qubit", "charge", "--model", "exact2", "--t-final", "1e-12"],
+         "E_c = 1e300\nE_J = 1e300\nn_g = 1e300\nphi_zpf = 1\n"),
+        (["drive-run", "--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
+          "--tf", "1e300", "--steps", "3"], ""),
+    ])
+    def test_overflow_is_a_numeric_failure(self, args, params, tmp_path, capsys):
+        path = write(tmp_path, "p.params", params)
+        out = tmp_path / "out.txt"
+        assert main([*args, "--params", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("scqsim: numeric failure: ") and err.count("\n") == 1
+
 
 class TestJsonOnlyCommands:
     TRANSFER = ["--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",

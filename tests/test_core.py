@@ -6,17 +6,31 @@ from hypothesis import strategies as st
 from conftest import pure_states, unit_bloch_vectors
 from oracles import scaled_taylor_expm, taylor_expm
 
-from scqsim.core import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    bloch_from_state,
-    is_hermitian,
-    matrix_exponential,
-    scaled_norm,
-)
-from scqsim.errors import DimensionMismatchError, InvalidStateError, NumericError
+from scqsim.constants import HBAR
+from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state, scaled_norm
+from scqsim.errors import DimensionMismatchError, DomainError, InvalidStateError, NumericError
+from scqsim.evolution import _propagate_eigen
+
+
+def kernel_accepts(H) -> bool:
+    """Whether the eigen kernel propagates under H; it refuses a non-Hermitian one."""
+    try:
+        _propagate_eigen(H, np.eye(len(H), dtype=complex)[0], np.zeros(1), np.zeros(1))
+    except DomainError:
+        return False
+    return True
+
+
+def kernel_propagator(H, theta) -> np.ndarray:
+    """exp(-i theta H) as the eigen kernel forms it at elapsed time hbar theta, by
+    linearity from the states e_0 and e_0 + e_j, which keep a population in the qubit
+    pair for the readout."""
+    def propagate(psi):
+        return _propagate_eigen(H, psi, np.zeros(1), np.array([HBAR * theta])).states[0]
+
+    basis = np.eye(len(H), dtype=complex)
+    first = propagate(basis[0])
+    return np.column_stack([first] + [propagate(basis[0] + e) - first for e in basis[1:]])
 
 
 class TestBlochFromState:
@@ -110,66 +124,65 @@ class TestScaledNorm:
 
 
 class TestIsHermitian:
+    """The Hermitian test of the eigen kernel, run before every eigh: to 1e-12 of
+    max(1, |H|max)."""
+
     def test_accepts_a_hermitian_matrix(self):
-        assert is_hermitian(0.3 * SIGMA_X + 0.7 * SIGMA_Y - 2.0 * SIGMA_Z)
+        assert kernel_accepts(0.3 * SIGMA_X + 0.7 * SIGMA_Y - 2.0 * SIGMA_Z)
 
     def test_rejects_a_skew_part(self):
-        assert not is_hermitian(SIGMA_X + 1e-6j * IDENTITY_2)
+        assert not kernel_accepts(SIGMA_X + 1e-6j * IDENTITY_2)
 
     def test_tolerance_is_relative_to_the_largest_entry(self):
-        # an asymmetry of 1e10 on entries of 1e23 is below 1e-12 of the scale
+        # an asymmetry of 1e10 on entries of 1e23 is below 1e-12 of the scale, 1e12 is not
         A = 1e23 * SIGMA_X
         A[0, 1] += 1e10
-        assert is_hermitian(A)
-        assert not is_hermitian(A, tol=1e-14)
+        assert kernel_accepts(A)
+        A[0, 1] += 1e12
+        assert not kernel_accepts(A)
 
 
 class TestMatrixExponential:
+    """The propagator exp(-i H t / hbar) that the eigen kernel forms, against
+    closed forms and the Taylor oracles, and the kernel's input checks."""
+
     def test_zero_matrix(self):
-        assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
+        assert np.allclose(kernel_propagator(np.zeros((3, 3), dtype=complex), 1.0), np.eye(3))
 
     def test_half_pi_sigma_x(self):
-        A = -1j * (np.pi / 2) * SIGMA_X
-        expected = taylor_expm(A)
-        result = matrix_exponential(A)
+        expected = taylor_expm(-1j * (np.pi / 2) * SIGMA_X)
+        result = kernel_propagator(SIGMA_X, np.pi / 2)
         assert np.abs(result - expected).max() < 1e-12
         assert np.abs(result - (-1j * SIGMA_X)).max() < 1e-12
 
     def test_diagonal_closed_form(self):
         theta = 0.7
-        result = matrix_exponential(1j * theta * SIGMA_Z)
+        result = kernel_propagator(-SIGMA_Z, theta)  # exp(i theta sigma_z)
         expected = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
         assert np.abs(result - expected).max() < 1e-12
         assert np.abs(result - taylor_expm(1j * theta * SIGMA_Z)).max() < 1e-12
 
     def test_non_finite_entries(self):
         with pytest.raises(NumericError):
-            matrix_exponential(np.array([[np.nan, 0], [0, 1]]))
+            kernel_accepts(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        with pytest.raises(NumericError):
+            kernel_accepts(np.array([[1, np.inf], [np.inf, 1]], dtype=complex))
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            matrix_exponential(np.ones((2, 3)))
+            _propagate_eigen(np.ones((2, 3), dtype=complex), [1, 0], np.zeros(1), np.zeros(1))
 
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
     def test_skew_hermitian_gives_unitary(self, coeffs):
         H = (coeffs[0] * SIGMA_X + coeffs[1] * SIGMA_Y + coeffs[2] * SIGMA_Z
              + coeffs[3] * IDENTITY_2)
-        U = matrix_exponential(-1j * H)
+        U = kernel_propagator(H, 1.0)
         assert np.abs(U.conj().T @ U - IDENTITY_2).max() <= 1e-10
-
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
-    def test_hermitian_generator_matches_taylor_oracle(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        H = (B + B.conj().T) / 2
-        H *= 3.0 / np.linalg.norm(H, 2)
-        E = matrix_exponential(H)
-        assert np.abs(E - E.conj().T).max() < 1e-12 * np.abs(E).max()
-        assert np.abs(E - scaled_taylor_expm(H)).max() < 1e-10 * np.abs(E).max()
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
     def test_matches_taylor_oracle_up_to_norm_ten(self, dim, seed):
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        A *= 10.0 / max(np.linalg.norm(A, 2), 10.0)  # clip to norm <= 10
-        assert np.abs(matrix_exponential(A) - scaled_taylor_expm(A)).max() < 1e-9
+        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        H = (B + B.conj().T) / 2
+        H *= 10.0 / max(np.linalg.norm(H, 2), 10.0)  # clip to norm <= 10
+        assert np.abs(kernel_propagator(H, 1.0) - scaled_taylor_expm(-1j * H)).max() < 1e-9

@@ -24,7 +24,6 @@ from scqsim.drives import (
     effective_rotating_hamiltonian,
     plan_to_dict,
     rotation_target,
-    rwa_hamiltonian,
 )
 from scqsim.errors import (
     DegenerateBisectorError,
@@ -147,7 +146,7 @@ class TestDesignDrive:
         # the plan is designed on the model it is checked against: same k, bit for bit
         p = default_params(kind)
         plan = design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
-        dependence = build_approximate(p).drive_dependence[DRIVE_SLOTS[kind]]
+        dependence = build_approximate(p)[1][DRIVE_SLOTS[kind]]
         assert np.array_equal(dependence, plan.k * channel)
 
     def test_degenerate_carrier_rejected(self):
@@ -167,23 +166,30 @@ class TestDesignDrive:
         assert np.abs(recon - omega_q * n_hat).max() < 1e-9 * omega_q
 
 
+def rwa_part(plan, delta_omega, t):
+    """The drive part of the rotating-frame generator at carrier detuning delta_omega
+    and time t: the resonant generator without its dc term, at phase delta_omega t + lambda."""
+    return effective_rotating_hamiltonian(replace(plan, dc_offset=0.0,
+                                                  lam=delta_omega * t + plan.lam))
+
+
 class TestRwaHamiltonian:
     def test_charge_quadrature_only(self, charge_plan):
         plan = replace(charge_plan, lam=math.pi / 2)
-        H = rwa_hamiltonian(plan, 0.0, 0.0).matrix
+        H = rwa_part(plan, 0.0, 0.0)
         expected = plan.k * plan.amplitude / 8 * (SIGMA_X + SIGMA_Z)
         assert np.allclose(H, expected)
 
     def test_charge_in_phase_only(self, charge_plan):
         plan = replace(charge_plan, lam=0.0)
-        H = rwa_hamiltonian(plan, 0.0, 0.0).matrix
+        H = rwa_part(plan, 0.0, 0.0)
         assert np.allclose(H, -plan.k * plan.amplitude / 4 * SIGMA_Y)
 
     def test_phase_pattern(self):
         _, plan = design_transfer(unit_state(-2, 3 - 3j),
                                   unit_state(2, 2 - 1j),
                                   T_F, default_params("phase"))
-        H = rwa_hamiltonian(plan, 0.0, 0.0).matrix
+        H = rwa_part(plan, 0.0, 0.0)
         Q, I = math.sin(plan.lam), math.cos(plan.lam)
         expected = plan.k * plan.amplitude / 16 * (Q * SIGMA_X - 4 * I * SIGMA_Y
                                                    - 4 * Q * SIGMA_Z)
@@ -200,7 +206,7 @@ class TestRwaHamiltonian:
         if n_hat[1] == 0.0 and n_hat[0] != 0.0:
             return
         plan = design_drive(kind, n_hat, 1e12, default_params(kind))
-        H = rwa_hamiltonian(plan, delta_omega, t).matrix
+        H = rwa_part(plan, delta_omega, t)
         p = delta_omega * t + plan.lam
         scale = plan.k * plan.amplitude
         if kind == "charge":
@@ -215,7 +221,7 @@ class TestRwaHamiltonian:
            st.floats(min_value=0.0, max_value=1e-12))
     def test_hermitian(self, delta_omega, t):
         _, plan = design_transfer(PSI0, PSIF, T_F, CHARGE)
-        H = rwa_hamiltonian(plan, delta_omega, t).matrix
+        H = rwa_part(plan, delta_omega, t)
         assert np.abs(H - H.conj().T).max() < 1e-30
 
 
@@ -250,7 +256,7 @@ class TestRotatingFrameAveraging:
         window = 300 * 2 * math.pi / charge_plan.omega_c
         avg = interaction_frame_average(charge_plan, CHARGE, charge_plan.omega_c,
                                         window, 600_001)
-        ref = pauli_coefficients(rwa_hamiltonian(charge_plan, 0.0, 0.0).matrix)
+        ref = pauli_coefficients(rwa_part(charge_plan, 0.0, 0.0))
         ratio = CHARGE.E_J / CHARGE.E_c
         assert abs(avg[1] - ref[1]) < ratio * abs(ref[1])
         assert abs(avg[0] - (ref[0] + ref[2])) < ratio * abs(ref[0] + ref[2])
@@ -409,7 +415,7 @@ class TestControlPropagator:
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     def test_is_the_designed_rotation(self, kind):
         target, plan = design_transfer(PSI0, PSIF, T_F, default_params(kind))
-        H = effective_rotating_hamiltonian(plan).matrix
+        H = effective_rotating_hamiltonian(plan)
         n = target.n_hat
         expected = 0.5 * HBAR * target.omega_q * (n[0] * SIGMA_X + n[1] * SIGMA_Y
                                                    + n[2] * SIGMA_Z)
@@ -436,8 +442,10 @@ class TestControlPropagator:
 
     def test_matches_rwa_exponential_without_dc(self, charge_plan):
         plan = replace(charge_plan, dc_offset=0.0)
-        H = rwa_hamiltonian(plan, 0.0, 0.0).matrix
-        assert np.array_equal(effective_rotating_hamiltonian(plan).matrix, H)
+        Q, I = math.sin(plan.lam), math.cos(plan.lam)
+        H = plan.k * plan.amplitude / 8 * (Q * SIGMA_X - 2 * I * SIGMA_Y + Q * SIGMA_Z)
+        assert np.allclose(effective_rotating_hamiltonian(plan), H, rtol=0,
+                           atol=1e-15 * np.abs(H).max())
         grid = TimeGrid(0.0, 1e-13, 6)
         traj = closed_loop_experiment(plan, PSI0, "approximate_rotating", grid, CHARGE,
                                       bloch_from_state(PSIF)).trajectory
@@ -488,6 +496,14 @@ class TestValidation:
     def test_design_needs_a_unit_axis(self):
         with pytest.raises(UnreachableAxisError):
             design_drive("charge", [0.0, 1.0, 1.0], 1e12, CHARGE)
+
+    @pytest.mark.parametrize("kind, field", [("charge", "C_g"), ("charge", "E_c"),
+                                             ("flux", "E_L"), ("phase", "phi_zpf")])
+    def test_zero_coupling_rejected(self, kind, field):
+        # no signal can rotate the qubit; phi_zpf = 3e-309 underflows the phase k to 0
+        p = replace(default_params(kind), **{field: 3e-309 if field == "phi_zpf" else 0.0})
+        with pytest.raises(DomainError, match=f"the {kind} qubit's drive coupling is zero"):
+            design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
 
 
 class TestPlanSerialization:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import unit_bloch_vectors, unit_state
 from oracles import cf4_states, naive_trajectory_csv, rodrigues
 
 from scqsim.constants import HBAR
-from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, matrix_exponential
+from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from scqsim.errors import DimensionMismatchError, DomainError, IntegrationError
 from scqsim.evolution import (
     DRIFT_WARN,
@@ -53,10 +54,11 @@ class TestTimeGrid:
 
 class TestPropagateStatic:
     def test_identity_offset_freezes_bloch(self):
-        H = build_exact_two_level(QubitParams("charge", E_c=7.55e-23,
-                                              E_J=1.359e-24, E_LJ0=1.359e-24))
+        # no gate charge: the exact two-level operator is a pure offset, a global phase
+        H, _ = build_exact_two_level(QubitParams("charge", E_c=7.55e-23,
+                                                 E_J=1.359e-24, E_LJ0=1.359e-24))
         psi0 = unit_state(2, -1j)
-        traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-13, 1000))
+        traj = propagate_static(H + 3e-23 * IDENTITY_2, psi0, TimeGrid(0.0, 1e-13, 1000))
         assert np.abs(traj.bloch - traj.bloch[0]).max() < 1e-12
 
     def test_rabi_rotation_closed_form(self):
@@ -75,19 +77,19 @@ class TestPropagateStatic:
         assert np.abs(traj.norms - 1.0).max() < 1e-10
 
     def test_equals_matrix_exponential_per_sample(self):
-        H = build_approximate(default_params("charge"))
+        H, _ = build_approximate(default_params("charge"))
         psi0 = unit_state(2, -1j)
         grid = TimeGrid(0.0, 5e-14, 20)
         traj = propagate_static(H, psi0, grid)
         for t, psi in zip(grid.times, traj.states):
-            U = matrix_exponential(-1j * H.traceless() * t / HBAR)
+            U = expm(-1j * H * t / HBAR)
             assert np.abs(psi - U @ psi0).max() < 1e-12
 
     def test_energy_conserved(self):
-        H = build_approximate(default_params("charge"))
+        H, _ = build_approximate(default_params("charge"))
         psi0 = unit_state(2, -1j)  # nonzero mean energy
         traj = propagate_static(H, psi0, TimeGrid(0.0, 2.5e-15, 500))
-        energy = np.einsum("ki,ij,kj->k", traj.states.conj(), H.matrix, traj.states).real
+        energy = np.einsum("ki,ij,kj->k", traj.states.conj(), H, traj.states).real
         assert (energy.max() - energy.min()) < 1e-9 * np.abs(energy).max()
 
     def test_dimension_mismatch(self):
@@ -110,7 +112,7 @@ class TestPropagateStatic:
         assert np.abs(traj.bloch - expected).max() < 1e-9
 
     def test_start_time_only_shifts_the_samples(self):
-        H = build_approximate(default_params("flux"))
+        H, _ = build_approximate(default_params("flux"))
         psi0 = unit_state(2, -1j)
         early = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 40))
         late = propagate_static(H, psi0, TimeGrid(3e-12, 1e-14, 40))
@@ -121,10 +123,10 @@ class TestPropagateStatic:
 class TestCf4Oracle:
     def test_constant_matches_static(self):
         # a constant H: CF4 is exact and agrees with the eigendecomposition kernel
-        H = build_approximate(default_params("charge"))
+        H, _ = build_approximate(default_params("charge"))
         psi0 = unit_state(1, 1j)
         grid = TimeGrid(0.0, 6.25e-16, 200)
-        states = cf4_states(lambda t: H.traceless(), psi0, grid.times)
+        states = cf4_states(lambda t: H, psi0, grid.times)
         assert np.abs(states - propagate_static(H, psi0, grid).states).max() < 1e-10
 
     def test_cf4_fourth_order_on_a_non_commuting_drive(self):
@@ -172,12 +174,12 @@ class TestCf4Oracle:
 
 def test_three_methods_agree():
     # the eigendecomposition kernel, CF4 and one matrix exponential per sample
-    H = build_approximate(default_params("charge"))
+    H, _ = build_approximate(default_params("charge"))
     psi0 = unit_state(2, -1j)
     grid = TimeGrid(0.0, 2.5e-15, 400)
     a = propagate_static(H, psi0, grid).states
-    b = cf4_states(lambda t: H.traceless(), psi0, grid.times)
-    c = np.array([matrix_exponential(-1j * H.traceless() * t / HBAR) @ psi0
+    b = cf4_states(lambda t: H, psi0, grid.times)
+    c = np.array([expm(-1j * H * t / HBAR) @ psi0
                   for t in grid.times])
     assert np.abs(a - b).max() < 1e-10
     assert np.abs(a - c).max() < 1e-10
@@ -204,7 +206,7 @@ class TestReadout:
         assert traj.states.shape == (51, 2)
 
     def test_fock_bloch_is_the_renormalized_qubit_projection(self):
-        H = build_fock(default_params("charge"), 8)
+        H, _ = build_fock(default_params("charge"), 8)
         psi0 = np.zeros(8, dtype=complex)
         psi0[:2] = unit_state(0.6, 0.8j)
         traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 100))
@@ -235,6 +237,11 @@ class TestDriftCheck:
         with pytest.raises(IntegrationError, match="state norm drifted by 2.000e-04"):
             _check_drift(2e-4, "state norm")
 
+    def test_nan_drift_raises(self):
+        # an overflowed run's norms are nan, which no threshold comparison catches
+        with pytest.raises(IntegrationError, match="state norm drifted by nan"):
+            _check_drift(float("nan"), "state norm")
+
     def test_degraded_run_is_logged(self, caplog):
         with caplog.at_level(logging.WARNING, logger="scqsim.evolution"):
             _check_drift(1e-6, "state norm")
@@ -251,7 +258,7 @@ class TestTrajectoryCsv:
 
     def test_zero_drive_run_reuses_rows(self):
         # no gate charge: the exact two-level operator is a pure offset, every row repeats
-        H = build_exact_two_level(replace(default_params("charge"), n_g=0.0))
+        H, _ = build_exact_two_level(replace(default_params("charge"), n_g=0.0))
         traj = propagate_static(H, PSI0, TimeGrid(0.0, 1e-15, 50))
         stream = io.StringIO()
         write_trajectory_csv(traj, stream)
@@ -260,7 +267,7 @@ class TestTrajectoryCsv:
         assert stream.getvalue() == naive_trajectory_csv(traj)
 
     def test_fock_run_with_leakage_column(self):
-        H = build_fock(default_params("charge"), 8)
+        H, _ = build_fock(default_params("charge"), 8)
         psi0 = np.zeros(8, dtype=complex)
         psi0[:2] = unit_state(0.6, 0.8j)
         traj = propagate_static(H, psi0, TimeGrid(0.0, 1e-14, 100))

@@ -48,7 +48,7 @@ def json_text(data):
 
 class TestTrajectoryJson:
     def test_two_level_run(self):
-        traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
+        traj = propagate_static(build_exact_two_level(default_params("charge"))[0], PSI0,
                                 TimeGrid(0.0, 1e-14, 700))
         text = json_text(export.trajectory_to_dict(traj))
         assert text == naive_json(dict(zip(*trajectory_columns(traj))))
@@ -56,7 +56,7 @@ class TestTrajectoryJson:
     def test_fock_run_with_leakage_column(self):
         psi0 = np.zeros(8, dtype=complex)
         psi0[:2] = PSI0
-        traj = propagate_static(build_fock(default_params("charge"), 8), psi0,
+        traj = propagate_static(build_fock(default_params("charge"), 8)[0], psi0,
                                 TimeGrid(0.0, 1e-14, 300))
         data = export.trajectory_to_dict(traj)
         assert "leakage" in data and traj.leakage.max() > 0
@@ -360,7 +360,7 @@ def test_writer_peak_memory(output, bound_kib):
     peaked at 1543 KiB.
     """
     if output == "trajectory":
-        traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
+        traj = propagate_static(build_exact_two_level(default_params("charge"))[0], PSI0,
                                 TimeGrid(0.0, 5e-15, 2001))
         write = lambda: export.write_trajectory_csv(traj, Discard())
     else:

@@ -11,8 +11,8 @@ from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from scqsim.errors import DomainError, TruncationError
 from scqsim import hamiltonians
+from scqsim.evolution import TimeGrid, propagate_static
 from scqsim.hamiltonians import (
-    HamiltonianOperator,
     QubitParams,
     annihilation_operator,
     build,
@@ -29,6 +29,11 @@ from scqsim.hamiltonians import (
 )
 
 positive_energy = st.floats(min_value=1e-25, max_value=1e-20)
+
+
+def without_offset(H):
+    """H minus its mean diagonal: the traceless part that the builders return."""
+    return H - np.trace(H).real / len(H) * np.eye(len(H))
 
 
 class TestZeroPointFluctuations:
@@ -76,13 +81,13 @@ class TestQubitParams:
 class TestApproximate:
     def test_charge_sweet_spot(self):
         p = QubitParams("charge", E_c=1e-22, E_J=1e-24, n_g=0.5)
-        H = build_approximate(p)
-        assert np.allclose(H.matrix, 0.5 * p.E_J * SIGMA_X)
+        H, _ = build_approximate(p)
+        assert np.allclose(H, 0.5 * p.E_J * SIGMA_X)
 
     def test_charge_reference_coefficients(self):
         p = default_params("charge")
-        H = build_approximate(p)
-        cx, cy, cz = pauli_coefficients(H.matrix)
+        H, _ = build_approximate(p)
+        cx, cy, cz = pauli_coefficients(H)
         assert cz == pytest.approx(p.E_c * (0.5 - p.n_g), rel=1e-12)
         assert cx == pytest.approx(0.5 * p.E_J, rel=1e-12)
         assert cy == 0.0
@@ -95,9 +100,9 @@ class TestApproximate:
         p = default_params("phase")
         _, phi_zpf = p.zpf()
         I_g = p.E_J * E_CHARGE / (HBAR * phi_zpf)
-        H = build_approximate(QubitParams("phase", E_c=p.E_c, E_J=p.E_J,
-                                          I_g=I_g, phi_zpf=phi_zpf))
-        cx, _, _ = pauli_coefficients(H.matrix)
+        H, _ = build_approximate(QubitParams("phase", E_c=p.E_c, E_J=p.E_J,
+                                             I_g=I_g, phi_zpf=phi_zpf))
+        cx, _, _ = pauli_coefficients(H)
         assert abs(cx) < 1e-37
 
     def test_lcjj_is_rejected(self):
@@ -139,31 +144,31 @@ class TestExactTwoLevel:
     def test_matches_substitution_oracle(self, kind, drives):
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24, **drives)
-        H = build_exact_two_level(p)
+        H, _ = build_exact_two_level(p)
         oracle = substitution_oracle(p)
         scale = np.abs(oracle).max()
-        assert np.abs(H.matrix - oracle).max() < 1e-12 * scale
+        assert np.abs(H - without_offset(oracle)).max() < 1e-12 * scale
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux", "lcjj"])
     def test_zero_drives_freeze_the_state(self, kind):
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24)
-        H = build_exact_two_level(p)
-        assert np.abs(H.traceless()).max() < 1e-30
+        H, _ = build_exact_two_level(p)
+        assert np.abs(H).max() < 1e-30
 
     def test_charge_drive_is_pure_sigma_y(self):
         p = default_params("charge")
         n_zpf, _ = p.zpf()
-        H = build_exact_two_level(p)
-        cx, cy, cz = pauli_coefficients(H.matrix)
+        H, _ = build_exact_two_level(p)
+        cx, cy, cz = pauli_coefficients(H)
         assert cx == 0.0 and cz == 0.0
         assert cy == pytest.approx(-2 * p.E_c * p.n_g * n_zpf, rel=1e-12)
 
     def test_pauli_channel_orthogonality(self):
         # approximate lives in span{sx, sz}; exact two-level drive in span{sy}
         p = default_params("charge")
-        H_app = build_approximate(p).matrix
-        H_ex = build_exact_two_level(p).matrix
+        H_app, _ = build_approximate(p)
+        H_ex, _ = build_exact_two_level(p)
         assert np.trace(SIGMA_Y @ H_app) == 0
         assert np.trace(SIGMA_X @ H_ex) == 0
         assert np.trace(SIGMA_Z @ H_ex) == 0
@@ -178,16 +183,17 @@ class TestExactTwoLevel:
         p = QubitParams("lcjj", E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24)
         V, I, phi_e = drives
-        H0 = build_exact_two_level(p)
-        H1 = build_exact_two_level(replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e))
+        H0, _ = build_exact_two_level(p)
+        H1, dependence = build_exact_two_level(
+            replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e))
         delta = dict(zip(("V", "I", "phi_e"), drives))[slot]
-        finite_diff = (H1.traceless() - H0.traceless()) / delta
-        assert np.allclose(finite_diff, H1.drive_dependence[slot], rtol=1e-9)
+        finite_diff = (H1 - H0) / delta
+        assert np.allclose(finite_diff, dependence[slot], rtol=1e-9)
 
     def test_lcjj_voltage_drive_coefficient(self):
         p = replace(default_params("lcjj"), n_g=induced_charge(0.68e-15, 1e-6))
         n_zpf, _ = p.zpf()
-        cx, cy, cz = pauli_coefficients(build_exact_two_level(p).traceless())
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p)[0])
         assert cy == pytest.approx(-2 * p.E_c * n_zpf * induced_charge(p.C_g, 1e-6),
                                    rel=1e-12)
         assert cx == 0.0 and cz == 0.0
@@ -195,7 +201,7 @@ class TestExactTwoLevel:
     def test_lcjj_current_drive_coefficient(self):
         p = replace(default_params("lcjj"), I_g=1e-9)
         _, phi_zpf = p.zpf()
-        cx, cy, cz = pauli_coefficients(build_exact_two_level(p).traceless())
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p)[0])
         assert cx == pytest.approx(-HBAR / (2 * E_CHARGE) * phi_zpf * 1e-9, rel=1e-12)
         assert cy == 0.0 and cz == 0.0
 
@@ -221,25 +227,26 @@ def fock_oracle(p, n_levels):
 
 
 def lowest_level_shift(p, n_levels):
-    """Relative shift of the two lowest Fock levels when the truncation doubles."""
-    small = np.linalg.eigvalsh(build_fock(p, n_levels).matrix)[:2]
-    large = np.linalg.eigvalsh(build_fock(p, 2 * n_levels).matrix)[:2]
+    """Relative shift of the lowest transition E1 - E0 when the truncation doubles
+    (the builders drop the identity offset, so absolute levels carry no meaning)."""
+    small = np.diff(np.linalg.eigvalsh(build_fock(p, n_levels)[0])[:2])
+    large = np.diff(np.linalg.eigvalsh(build_fock(p, 2 * n_levels)[0])[:2])
     return float(np.abs(small - large).max() / np.abs(large).max())
 
 
 class TestFock:
     def test_matches_direct_construction(self):
         p = default_params("charge")
-        H = build_fock(p, 8)
+        H, _ = build_fock(p, 8)
         oracle = fock_oracle(p, 8)
-        assert np.abs(H.matrix - oracle).max() < 1e-12 * np.abs(oracle).max()
+        assert np.abs(H - without_offset(oracle)).max() < 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux", "lcjj"])
     def test_hermitian(self, kind):
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, n_g=0.4, I_g=1e-6, phi_e=0.3,
                         E_LJ0=1.359e-24)
-        H = build_fock(p, 12).matrix
+        H, _ = build_fock(p, 12)
         assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
 
     def test_cosine_vacuum_expectation(self):
@@ -254,15 +261,15 @@ class TestFock:
     def test_charging_only_hamiltonian(self):
         # E_J = 0, no drives: H = E_c n^2 built on the truncated ladder
         p = QubitParams("charge", E_c=7.55e-23, E_J=0.0, E_LJ0=1.359e-24)
-        H = build_fock(p, 4)
+        H, _ = build_fock(p, 4)
         n_zpf, _ = p.zpf()
         a = annihilation_operator(4)
         n_op = 1j * n_zpf * (a - a.conj().T)
         expected = p.E_c * n_op @ n_op
-        assert np.abs(H.matrix - expected).max() < 1e-12 * np.abs(expected).max()
+        assert np.abs(H - without_offset(expected)).max() < 1e-12 * np.abs(expected).max()
         # truncation makes the ground level two-fold degenerate; the vacuum
         # lives almost entirely inside that ground eigenspace
-        vals, vecs = np.linalg.eigh(H.matrix)
+        vals, vecs = np.linalg.eigh(H)
         ground = np.abs(vals - vals[0]) < 1e-6 * np.abs(vals).max()
         assert (np.abs(vecs[0, ground]) ** 2).sum() > 0.8
 
@@ -283,9 +290,9 @@ class TestFock:
         assert lowest_level_shift(default_params("charge"), 4) > 1e-2
 
     def test_lcjj_carries_all_three_drive_slots(self):
-        H = build(default_params("lcjj"), "fock")
-        assert H.matrix.shape == (8, 8) and H.model == "fock"
-        assert set(H.drive_dependence) == {"V", "I", "phi_e"}
+        H, drives = build(default_params("lcjj"), "fock")
+        assert H.shape == (8, 8)
+        assert set(drives) == {"V", "I", "phi_e"}
 
     def test_ladder_commutator(self):
         # [a, a^dag] = I on every level but the last, which the truncation cuts
@@ -308,8 +315,7 @@ class TestDriveFree:
         static, (drive,) = drive_free(p, "exact_two_level", ["V"])
         for t in (0.0, 3e-13, 7e-13):
             V = 2e-3 * np.sin(1e11 * t)
-            expected = build_exact_two_level(
-                replace(p, n_g=induced_charge(p.C_g, V))).traceless()
+            expected, _ = build_exact_two_level(replace(p, n_g=induced_charge(p.C_g, V)))
             assert np.allclose(static + V * drive, expected, atol=1e-40)
 
     def test_unknown_slot_rejected(self):
@@ -330,8 +336,8 @@ class TestDriveFree:
             if slot == "V":
                 value = induced_charge(p.C_g, value)
             rebuilt = replace(p, **{field: value})
-            H = build_approximate(rebuilt) if model == "approximate" else build_fock(rebuilt, 8)
-            expected = H.traceless()
+            expected, _ = (build_approximate(rebuilt) if model == "approximate"
+                           else build_fock(rebuilt, 8))
             assert static.shape == expected.shape
             assert np.allclose(static + signal * drive, expected, rtol=0,
                                atol=1e-12 * np.abs(expected).max())
@@ -353,28 +359,40 @@ class TestBuild:
         original = getattr(hamiltonians, builder)
         monkeypatch.setattr(hamiltonians, builder,
                             lambda *args: calls.append(args) or original(*args))
-        H = build(default_params("phase"), model, 6)
-        assert len(calls) == 1 and H.model == model
-        assert H.dim == (6 if model == "fock" else 2)
+        H, _ = build(default_params("phase"), model, 6)
+        assert len(calls) == 1
+        assert H.shape == ((6, 6) if model == "fock" else (2, 2))
 
     def test_fock_takes_eight_levels_by_default(self):
-        assert build(default_params("charge"), "fock").dim == 8
-        assert build(default_params("charge"), "fock", 5).dim == 5
+        assert build(default_params("charge"), "fock")[0].shape == (8, 8)
+        assert build(default_params("charge"), "fock", 5)[0].shape == (5, 5)
+
+
+KIND_MODELS = [(kind, model) for kind in ("charge", "phase", "flux", "lcjj")
+               for model in ("approximate", "exact_two_level", "fock")
+               if (kind, model) != ("lcjj", "approximate")]
 
 
 class TestHamiltonianOperator:
+    """The (matrix, drives) pair each builder returns: the traceless complex matrix
+    that propagation takes, and dH/d(slot) per drive slot."""
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="Hermitian"):
-            HamiltonianOperator(np.array([[0, 1], [0, 0]]), "approximate")
+            propagate_static(np.array([[0, 1], [0, 0]], dtype=complex), [1, 0],
+                             TimeGrid(0.0, 1e-13, 2))
 
     def test_traceless_removes_the_offset(self):
-        H = HamiltonianOperator(2.5 * np.eye(3) + np.diag([1.0, 0.0, -1.0]), "fock", 2.5)
-        assert H.dim == 3
-        assert np.array_equal(H.traceless(), np.diag([1.0, 0.0, -1.0]).astype(complex))
+        for kind, model in KIND_MODELS:
+            p = replace(default_params(kind), n_g=0.4, I_g=1e-6, phi_e=0.3)
+            H, _ = build(p, model, 6)
+            assert abs(np.trace(H)) <= 1e-15 * np.abs(H).max(), (kind, model)
 
     def test_matrix_stored_as_complex(self):
-        H = HamiltonianOperator([[1, 0], [0, -1]], "approximate")
-        assert H.matrix.dtype == complex
+        for kind, model in KIND_MODELS:
+            H, drives = build(default_params(kind), model, 6)
+            assert H.dtype == complex
+            assert all(d.dtype == complex and d.shape == H.shape for d in drives.values())
 
 
 class TestDefaultParams:

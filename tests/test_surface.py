@@ -7,12 +7,13 @@ JSON ``lyapunov`` run and one argv the parser refuses. The profile is set before
 ``scqsim`` is imported, so import-time calls and cached builders count too.
 Every ``def`` in the package must show up: code that no command reaches is
 deleted, or moved to ``tests/oracles.py`` when tests compare against it. There
-is no allowlist.
+is no allowlist. No command loads scipy either: it is a test dependency only.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,8 @@ for argv in json.loads(sys.argv[1]):
         codes.append(exc.code)
 sys.setprofile(None)
 with open(sys.argv[2], "w") as f:
-    json.dump({"package": scqsim.cli.__file__, "codes": codes, "entered": sorted(entered)}, f)
+    json.dump({"package": scqsim.cli.__file__, "codes": codes, "entered": sorted(entered),
+               "scipy_loaded": "scipy" in sys.modules}, f)
 """
 
 PSI = {"charge": ("2,0;0,-1", "1,0;2,1"), "phase": ("-2,0;3,-3", "2,0;2,-1"),
@@ -95,11 +97,16 @@ def test_every_function_is_entered_by_a_command(tmp_path):
     data = json.loads(record.read_text())
     assert Path(data["package"]).resolve().parent == PACKAGE.resolve()
     assert data["codes"] == [code for _, code in runs]
+    assert data["scipy_loaded"] is False
     entered = {}
     for filename, line, name in data["entered"]:
         entered.setdefault((str(Path(filename).resolve()), name), set()).add(line)
     functions = defined_functions()
-    assert len(functions) > 100  # the walk found the package
+    # the walk found the package: cli.main, and a def in every module whose text has one
+    assert (str((PACKAGE / "cli.py").resolve()), "main") in {f[:2] for f in functions}
+    with_defs = {str(path.resolve()) for path in PACKAGE.glob("*.py")
+                 if re.search(r"^\s*(async\s+)?def ", path.read_text(), re.MULTILINE)}
+    assert {f[0] for f in functions} == with_defs
     unreached = [f"{Path(path).stem}.{qualname} (line {line})"
                  for path, qualname, first, line in functions
                  if not any(first <= entry <= line
