@@ -1,14 +1,33 @@
 #!/usr/bin/env python3
 """Run every shipped reference config; artifacts land in ./out/.
 
+Each config's status line is followed by one ``sha256 <hex> <path>`` line per
+file it wrote, so two checkouts' outputs compare byte for byte with a diff of
+those lines.
+
 Usage: python scripts/run_reference_configs.py [config-dir]
 """
 
+import hashlib
 import sys
 import time
 from pathlib import Path
 
+from scqsim.cli import REPLAY_CSV_SUFFIXES
 from scqsim.cli import main as cli_main
+from scqsim.config import parse_config
+
+
+def written_files(cfg: Path) -> list:
+    """The files a config writes: its ``out``, and for drive-run the replay CSVs next to it."""
+    run = parse_config(cfg)
+    if run.out is None:
+        return []
+    out = Path(run.out)
+    if run.command != "drive-run":
+        return [out]
+    stem = out.with_suffix("").as_posix()
+    return [out, *(Path(stem + suffix) for suffix in REPLAY_CSV_SUFFIXES.values())]
 
 
 def run_all(config_dir: Path) -> int:
@@ -24,6 +43,9 @@ def run_all(config_dir: Path) -> int:
         status = "ok" if rc == 0 else f"FAILED (exit {rc})"
         print(f"{cfg.name:32s} {status:>12s}  {elapsed:6.2f}s")
         failures += rc != 0
+        if rc == 0:
+            for path in written_files(cfg):
+                print(f"sha256 {hashlib.sha256(path.read_bytes()).hexdigest()} {path}")
     return 1 if failures else 0
 
 

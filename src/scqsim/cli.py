@@ -22,6 +22,10 @@ from .hamiltonians import build
 from .lyapunov import BilinearParams, Gains, simulate_closed_loop
 
 
+#: the CSV each drive-run replay writes next to its JSON summary, by model
+REPLAY_CSV_SUFFIXES = {"approximate_rotating": "_approx.csv", "exact_lab": "_exact.csv"}
+
+
 @contextlib.contextmanager
 def _output(path):
     if path is None:
@@ -34,8 +38,8 @@ def _output(path):
 
 def run_simulate(cfg: RunConfig) -> int:
     """evolve a state under a static circuit Hamiltonian"""
-    grid = TimeGrid(0.0, cfg.dt, cfg.steps)
-    H, _ = build(cfg.params, cfg.model, cfg.n_levels)
+    grid = TimeGrid(cfg.dt, cfg.steps)
+    H = build(cfg.params, cfg.model, cfg.n_levels)
     psi0 = cfg.psi0
     if len(H) > 2 and psi0.size == 2:
         padded = np.zeros(len(H), dtype=complex)
@@ -52,7 +56,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 def run_design(cfg: RunConfig) -> int:
     """synthesize a drive plan for a state transfer"""
-    _, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
+    *_, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
     with _output(cfg.out) as stream:
         export.dump_json(plan_to_dict(plan), stream)
     return 0
@@ -60,15 +64,15 @@ def run_design(cfg: RunConfig) -> int:
 
 def run_drive_run(cfg: RunConfig) -> int:
     """design a plan, replay it on the rotating-frame and exact models"""
-    target, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
-    grid = TimeGrid(0.0, cfg.tf / cfg.steps, cfg.steps)
+    r0, rf, plan = design_transfer(cfg.psi0, cfg.psif, cfg.tf, cfg.params)
+    grid = TimeGrid(cfg.tf / cfg.steps, cfg.steps)
     results = {model: closed_loop_experiment(plan, cfg.psi0, model, grid, cfg.params,
-                                             r_target=target.rf)
-               for model in ("approximate_rotating", "exact_lab")}
+                                             r_target=rf)
+               for model in REPLAY_CSV_SUFFIXES}
     summary = {
         "plan": plan_to_dict(plan),
-        "r0": [float(c) for c in target.r0],
-        "rf": [float(c) for c in target.rf],
+        "r0": [float(c) for c in r0],
+        "rf": [float(c) for c in rf],
     }
     for model, res in results.items():
         summary[model] = {
@@ -81,8 +85,7 @@ def run_drive_run(cfg: RunConfig) -> int:
         export.dump_json(summary, stream)
     if cfg.out is not None:
         stem = Path(cfg.out)
-        for model, suffix in (("approximate_rotating", "_approx.csv"),
-                              ("exact_lab", "_exact.csv")):
+        for model, suffix in REPLAY_CSV_SUFFIXES.items():
             with open(stem.with_suffix("").as_posix() + suffix, "w", newline="\n") as f:
                 export.write_trajectory_csv(results[model].trajectory, f)
     return 0
@@ -90,7 +93,7 @@ def run_drive_run(cfg: RunConfig) -> int:
 
 def run_lyapunov(cfg: RunConfig) -> int:
     """stabilize the L-C-JJ qubit to a target Bloch state"""
-    grid = TimeGrid(0.0, cfg.dt, cfg.steps)
+    grid = TimeGrid(cfg.dt, cfg.steps)
     run = simulate_closed_loop(cfg.r0, cfg.rf, Gains(cfg.alpha, cfg.beta),
                                BilinearParams.from_qubit(cfg.params), grid,
                                integrator=cfg.integrator)

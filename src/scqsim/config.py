@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import scaled_norm
 from .errors import ConfigError, DomainError
-from .hamiltonians import DRIVE_SLOTS, QUBIT_KINDS, QubitParams, default_params, induced_charge
+from .hamiltonians import DRIVE_KINDS, QUBIT_KINDS, QubitParams, default_params, induced_charge
 
 #: schema default of a key the command cannot run without
 REQUIRED = object()
@@ -38,7 +38,7 @@ MAX_STATE_AMPLITUDES = 5_000_000
 #: accepted values of each enumerated kind
 CHOICES = {
     "kind": QUBIT_KINDS,
-    "drive_kind": tuple(DRIVE_SLOTS),
+    "drive_kind": DRIVE_KINDS,
     "integrator": ("fixed_rk4", "substepped"),
     "format": ("csv", "json"),
     "json_format": ("json",),
@@ -350,6 +350,9 @@ def resolve(command: str, entries, where: str, base_dir: Path = Path()) -> RunCo
         if cfg.dt is None:
             cfg.dt = cfg.t_final / 2000.0
             defaults["dt"] = "t_final / 2000"
+            if cfg.dt == 0.0:
+                raise ConfigError(f"{locations['t_final']}: t_final = {cfg.t_final!r} is too "
+                                  "short: its default dt = t_final / 2000 underflows to 0")
         levels = cfg.n_levels or 2
         limit = min(MAX_STEPS, MAX_STATE_AMPLITUDES // levels - 1)
         if not cfg.t_final / cfg.dt < limit + 0.5:

@@ -31,30 +31,12 @@ from .errors import (
     UnreachableAxisError,
 )
 from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_static
-from .hamiltonians import DRIVE_SLOTS, QubitParams, drive_coupling, drive_free
+from .hamiltonians import QubitParams, drive_coupling, exact_drive_operator
 
 # (ax, ay, az) per kind: the rotating-frame drive is k amp (ax Q sx - ay I sy + az Q sz),
 # all powers of two; the flux drive couples like the phase drive
 _AXES = {"charge": (1 / 8, 1 / 4, 1 / 8), "phase": (1 / 16, 1 / 4, -1 / 4)}
 _AXES["flux"] = _AXES["phase"]
-
-
-@dataclass(frozen=True)
-class RotationTarget:
-    """A state transfer expressed as a single axis-angle rotation."""
-
-    r0: np.ndarray
-    rf: np.ndarray
-    n_hat: np.ndarray
-    alpha: float
-    t_f: float
-    omega_q: float
-
-    def __post_init__(self):
-        if abs(np.linalg.norm(self.n_hat) - 1.0) > 1e-9:
-            raise UnreachableAxisError("rotation axis must be a unit vector")
-        if not math.isclose(self.omega_q, self.alpha / self.t_f, rel_tol=1e-12):
-            raise DomainError("omega_q must equal alpha / t_f")
 
 
 @dataclass(frozen=True)
@@ -83,8 +65,8 @@ class DrivePlan:
             raise DomainError("drive plan has non-finite entries")
 
 
-def bisector_rotation(r0, rf) -> tuple[np.ndarray, float]:
-    """Rotation axis and angle sending r0 to rf: the bisector (r0+rf)/|r0+rf| with angle +pi."""
+def bisector_axis(r0, rf) -> np.ndarray:
+    """Axis of the pi rotation sending r0 to rf: the bisector (r0+rf)/|r0+rf|."""
     r0 = np.asarray(r0, dtype=float)
     rf = np.asarray(rf, dtype=float)
     for name, r in (("r0", r0), ("rf", rf)):
@@ -96,14 +78,7 @@ def bisector_rotation(r0, rf) -> tuple[np.ndarray, float]:
         raise DegenerateBisectorError(
             "antipodal states leave the bisector undefined; pick an axis explicitly"
         )
-    return total / norm, math.pi
-
-
-def rotation_target(r0, rf, t_f: float) -> RotationTarget:
-    """Bundle a transfer r0 -> rf over t_f seconds as a bisector pi rotation."""
-    n_hat, alpha = bisector_rotation(r0, rf)
-    return RotationTarget(np.asarray(r0, float), np.asarray(rf, float),
-                          n_hat, alpha, t_f, alpha / t_f)
+    return total / norm
 
 
 def carrier_frequency(kind: str, params: QubitParams) -> float:
@@ -161,11 +136,14 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
                      n_hat=n.copy(), omega_q=omega_q, t_f=t_f)
 
 
-def design_transfer(psi0, psif, t_f: float, params: QubitParams) -> tuple[RotationTarget, DrivePlan]:
-    """Plan the full transfer |psi0> -> |psif>: bisector rotation plus drive inversion."""
-    target = rotation_target(bloch_from_state(psi0), bloch_from_state(psif), t_f)
-    plan = design_drive(params.qubit_kind, target.n_hat, target.omega_q, params, t_f=t_f)
-    return target, plan
+def design_transfer(psi0, psif, t_f: float,
+                    params: QubitParams) -> tuple[np.ndarray, np.ndarray, DrivePlan]:
+    """(r0, rf, plan) of the transfer |psi0> -> |psif> in t_f: the Bloch vectors and the
+    drive inversion of the pi rotation about their bisector at omega_q = pi / t_f."""
+    r0, rf = bloch_from_state(psi0), bloch_from_state(psif)
+    plan = design_drive(params.qubit_kind, bisector_axis(r0, rf), math.pi / t_f, params,
+                        t_f=t_f)
+    return r0, rf, plan
 
 
 def effective_rotating_hamiltonian(plan: DrivePlan) -> np.ndarray:
@@ -202,25 +180,22 @@ class TransferResult:
 
 def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
                           params: QubitParams) -> BlochTrajectory:
-    """Exact two-level circuit driven by the plan's signal in the kind's drive slot.
+    """Exact two-level circuit of the plan's kind driven by the plan's signal.
 
-    Zeroing the slot's static drive leaves H(t) = S + signal(t) A, A = dH/d(slot).
-    A traceless 2x2 S commutes with A only as S = c A (c = 0 for charge, phase
-    and flux); then H(t) and H(t') commute for all t, t', the first Magnus term
-    is exact, and U(t) = exp(-i A (F(t) + c (t - t0)) / hbar) with F the
-    closed-form integral of amp sin(omega_c t + lambda) + dc from t0.
+    The circuit's traceless part is zero without the drive, so H(t) = signal(t) A
+    with the constant A = hamiltonians.exact_drive_operator(params). H(t) and
+    H(t') commute for all t, t', the first Magnus term is exact, and
+    U(t) = exp(-i A F(t) / hbar) with F the closed-form integral of
+    amp sin(omega_c t + lambda) + dc from 0.
     """
-    slot = DRIVE_SLOTS[plan.qubit_kind]
-    static, (drive,) = drive_free(params, "exact_two_level", [slot])
-    c = np.vdot(drive, static).real / max(np.vdot(drive, drive).real, np.finfo(float).tiny)
-    if np.abs(static - c * drive).max() > 1e-12 * np.abs(static).max():
-        raise DomainError(f"static part of the exact model does not commute with slot {slot!r}")
-    tau = grid.times - grid.t0
+    if params.qubit_kind != plan.qubit_kind:
+        raise DomainError(f"a {plan.qubit_kind} plan cannot drive a {params.qubit_kind} circuit")
+    tau = grid.times
     half = 0.5 * plan.omega_c * tau
     # (cos(a) - cos(a + wc tau)) / wc = tau sin(a + wc tau / 2) sinc(wc tau / 2), finite at wc = 0
-    integral = (plan.amplitude * tau * np.sin(plan.omega_c * grid.t0 + plan.lam + half)
-                * np.sinc(half / np.pi) + (plan.dc_offset + c) * tau)
-    return _propagate_eigen(drive, psi0, grid.times, integral)
+    integral = (plan.amplitude * tau * np.sin(plan.lam + half) * np.sinc(half / np.pi)
+                + plan.dc_offset * tau)
+    return _propagate_eigen(exact_drive_operator(params), psi0, tau, integral)
 
 
 def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
@@ -229,7 +204,7 @@ def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
 
     ``model`` is "approximate_rotating" (the constant resonant rotating-frame
     generator the plan was designed for) or "exact_lab" (the exact two-level
-    circuit driven by the physical signal in the kind's drive slot), both with
+    circuit driven by the physical signal of the plan's kind), both with
     exact propagators. The fidelity is scored against the Bloch vector ``r_target``.
     """
     if model == "approximate_rotating":

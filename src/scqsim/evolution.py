@@ -5,7 +5,8 @@ roundoff: a static Hamiltonian, and a generator A f(t) with constant A given
 the integral of f (the drive replays). Every path is unitary by construction.
 Nothing is renormalized: norm drift is still checked on every path and is
 logged, not hidden. The kernel takes the Hamiltonian as a plain matrix and
-refuses one that is not finite or not Hermitian.
+refuses one that is not finite or not Hermitian. Every sampling grid starts
+at t = 0.
 """
 
 import logging
@@ -27,9 +28,8 @@ DRIFT_WARN = 1e-8
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: samples at t0 + k dt for k = 0 .. steps."""
+    """Uniform sampling grid: samples at k dt for k = 0 .. steps."""
 
-    t0: float
     dt: float
     steps: int
 
@@ -41,7 +41,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        return self.dt * np.arange(self.steps + 1)
 
 
 @dataclass
@@ -105,7 +105,7 @@ def _state_trajectory(times: np.ndarray, states: np.ndarray,
 def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
                      elapsed: np.ndarray) -> BlochTrajectory:
     """States exp(-i matrix elapsed_k / hbar) psi0; ``elapsed`` is the accumulated
-    time per sample (t - t0 for a static generator, the integral of f for matrix * f(t))."""
+    time per sample (t for a static generator, the integral of f from 0 for matrix * f(t))."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if matrix.shape != (psi0.size, psi0.size):
         raise DimensionMismatchError(
@@ -122,4 +122,4 @@ def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
 
 def propagate_static(H: np.ndarray, psi0, grid: TimeGrid) -> BlochTrajectory:
     """Evolve |psi(t)> = exp(-i H t / hbar) |psi0> on the sampling grid."""
-    return _propagate_eigen(H, psi0, grid.times, grid.times - grid.t0)
+    return _propagate_eigen(H, psi0, grid.times, grid.times)

@@ -13,25 +13,25 @@ circuits each come in two flavors:
 ``fock`` builds the same circuit Hamiltonians on an N-level oscillator ladder
 with n = i n_zpf (a - a^dag) and phi = phi_zpf (a + a^dag).
 
-Each builder returns ``(matrix, drives)``: the traceless matrix (the identity
-offset only contributes a global phase to closed dynamics) and the constant
-dH/d(slot) per drive slot ("V", "I", "phi_e").
+Each builder returns the traceless matrix: the identity offset only contributes
+a global phase to closed dynamics. ``exact_drive_operator`` gives the constant
+dH/d(drive) of the exact two-level model, which the drive replays propagate.
 """
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
 from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NumericError, TruncationError
 
 QUBIT_KINDS = ("charge", "phase", "flux", "lcjj")
 
-#: drive slot used by each qubit kind ("lcjj" takes all three)
-DRIVE_SLOTS = {"charge": "V", "phase": "I", "flux": "phi_e"}
+#: kinds with a microwave drive: V for charge, I for phase, phi_e for flux
+DRIVE_KINDS = ("charge", "phase", "flux")
 
 
 def induced_charge(C_g: float, V: float) -> float:
@@ -120,7 +120,7 @@ def drive_coupling(kind: str, p: QubitParams) -> float:
     raise DomainError(f"no microwave drive inversion for kind {kind!r}")
 
 
-def build_approximate(p: QubitParams) -> tuple[np.ndarray, dict]:
+def build_approximate(p: QubitParams) -> np.ndarray:
     """Approximate (driven two-level) Hamiltonian of a charge, phase or flux qubit.
 
     charge: E_c (1/2 - n_g) sigma_z + (E_J / 2) sigma_x
@@ -133,19 +133,17 @@ def build_approximate(p: QubitParams) -> tuple[np.ndarray, dict]:
         raise DomainError("the approximate model covers charge, phase and flux; "
                           "use exact2 or fock:N for lcjj")
     _charge_validity_warning(p)
-    k = drive_coupling(p.qubit_kind, p)
     if p.qubit_kind == "charge":
         hz = p.E_c * (0.5 - p.n_g)
         hx = 0.5 * p.E_J
-        channel = SIGMA_Z
     else:
         hz = -0.5 * p.E_c
-        hx = 0.5 * p.E_J + k * (p.I_g if p.qubit_kind == "phase" else p.phi_e)
-        channel = SIGMA_X
-    return hz * SIGMA_Z + hx * SIGMA_X, {DRIVE_SLOTS[p.qubit_kind]: k * channel}
+        drive = p.I_g if p.qubit_kind == "phase" else p.phi_e
+        hx = 0.5 * p.E_J + drive_coupling(p.qubit_kind, p) * drive
+    return hz * SIGMA_Z + hx * SIGMA_X
 
 
-def build_exact_two_level(p: QubitParams) -> tuple[np.ndarray, dict]:
+def build_exact_two_level(p: QubitParams) -> np.ndarray:
     """Circuit Hamiltonian under the substitution n -> n_zpf sigma_y, phi -> phi_zpf sigma_x.
 
     Since sigma_k^2 = I the cosine collapses: cos(phi_zpf sigma_x) =
@@ -156,25 +154,31 @@ def build_exact_two_level(p: QubitParams) -> tuple[np.ndarray, dict]:
     n_zpf, phi_zpf = p.zpf()
     hx = hy = 0.0
     offset = -p.E_J * np.cos(phi_zpf)
-    dep = {}
     if p.qubit_kind in ("charge", "lcjj"):
         # E_c (n_zpf sigma_y - n_g)^2 = E_c (n_zpf^2 + n_g^2) I - 2 E_c n_g n_zpf sigma_y
         hy -= 2 * p.E_c * p.n_g * n_zpf
         offset += p.E_c * (n_zpf**2 + p.n_g**2)
-        dep["V"] = -2 * p.E_c * n_zpf * p.C_g / (2 * E_CHARGE) * SIGMA_Y
     else:
         offset += p.E_c * n_zpf**2
     if p.qubit_kind in ("phase", "lcjj"):
-        coupling = HBAR / (2 * E_CHARGE) * phi_zpf
-        hx -= coupling * p.I_g
-        dep["I"] = -coupling * SIGMA_X
+        hx -= HBAR / (2 * E_CHARGE) * phi_zpf * p.I_g
     if p.qubit_kind in ("flux", "lcjj"):
         # (E_L/2)(phi_zpf sigma_x - phi_e)^2
         hx -= p.E_L * phi_zpf * p.phi_e
         offset += 0.5 * p.E_L * (phi_zpf**2 + p.phi_e**2)
-        dep["phi_e"] = -p.E_L * phi_zpf * SIGMA_X
     matrix = hx * SIGMA_X + hy * SIGMA_Y + offset * IDENTITY_2
-    return matrix - offset * np.eye(2), dep
+    return matrix - offset * np.eye(2)
+
+
+def exact_drive_operator(p: QubitParams) -> np.ndarray:
+    """dH/d(drive) of the exact two-level model of a charge, phase or flux qubit: the
+    constant operator its V, I or phi_e signal multiplies (sigma_y for charge,
+    sigma_x for phase and flux). With the drive field at zero the traceless
+    matrix of these circuits is zero, so H(t) = signal(t) times this operator."""
+    if p.qubit_kind == "charge":
+        n_zpf, _ = p.zpf()
+        return -2 * p.E_c * n_zpf * p.C_g / (2 * E_CHARGE) * SIGMA_Y
+    return drive_coupling(p.qubit_kind, p) * SIGMA_X
 
 
 # ---------------------------------------------------------------------------
@@ -201,63 +205,43 @@ def cosine_of(phi_op: np.ndarray) -> np.ndarray:
     return 0.5 * (plus + plus.conj().T)
 
 
-def build_fock(p: QubitParams, n_levels: int) -> tuple[np.ndarray, dict]:
+def build_fock(p: QubitParams, n_levels: int) -> np.ndarray:
     """Circuit Hamiltonian on an ``n_levels``-dimensional oscillator ladder."""
     if n_levels < 4:
         raise TruncationError("Fock truncation needs at least 4 levels")
     n_op, phi_op = number_phase_operators(p, n_levels)
     eye = np.eye(n_levels, dtype=complex)
     H = -p.E_J * cosine_of(phi_op)
-    dep = {}
     if p.qubit_kind in ("charge", "lcjj"):
         shifted = n_op - p.n_g * eye
         H = H + p.E_c * (shifted @ shifted)
-        dep["V"] = -2 * p.E_c * p.C_g / (2 * E_CHARGE) * n_op
     else:
         H = H + p.E_c * (n_op @ n_op)
     if p.qubit_kind in ("phase", "lcjj"):
-        coupling = HBAR / (2 * E_CHARGE)
-        H = H - coupling * p.I_g * phi_op
-        dep["I"] = -coupling * phi_op
+        H = H - HBAR / (2 * E_CHARGE) * p.I_g * phi_op
     if p.qubit_kind in ("flux", "lcjj"):
         shifted = phi_op - p.phi_e * eye
         H = H + 0.5 * p.E_L * (shifted @ shifted)
-        dep["phi_e"] = -p.E_L * phi_op
     offset = float(np.trace(H).real / n_levels)
-    return H - offset * np.eye(n_levels), dep
+    return H - offset * np.eye(n_levels)
 
 
-def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> tuple[np.ndarray, dict]:
-    """(matrix, drives) of the ``model`` Hamiltonian of ``p``: "approximate",
-    "exact_two_level" or "fock" (``n_levels`` levels, 8 if not given). Each call
-    looks its builder up by module name, so a wrapper set on one here (a
-    profiler's, say) sees every build."""
-    if model == "approximate":
-        return build_approximate(p)
-    if model == "exact_two_level":
-        return build_exact_two_level(p)
-    if model == "fock":
-        return build_fock(p, 8 if n_levels is None else n_levels)
+def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> np.ndarray:
+    """The ``model`` Hamiltonian of ``p``: "approximate", "exact_two_level" or "fock"
+    (``n_levels`` levels, 8 if not given). Each call looks its builder up by module
+    name, so a wrapper set on one here (a profiler's, say) sees every build. A
+    float overflow in the build is a NumericError that names the model and kind."""
+    try:
+        if model == "approximate":
+            return build_approximate(p)
+        if model == "exact_two_level":
+            return build_exact_two_level(p)
+        if model == "fock":
+            return build_fock(p, 8 if n_levels is None else n_levels)
+    except OverflowError:
+        raise NumericError(f"the {model} Hamiltonian of the {p.qubit_kind} qubit "
+                           "overflows a float") from None
     raise DomainError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# the drive-free split
-
-_DRIVE_ZERO_FIELD = {"V": "n_g", "I": "I_g", "phi_e": "phi_e"}
-
-
-def drive_free(p: QubitParams, model: str, slots: Sequence[str],
-               n_levels: Optional[int] = None) -> tuple[np.ndarray, list]:
-    """(static, operators): the traceless ``model`` Hamiltonian of ``p`` with each slot's
-    static field zeroed, and dH/d(slot) per slot. Signals s_k in the slots then give
-    H(t) = static + sum_k s_k(t) operators[k], with nothing counted twice."""
-    static, drives = build(replace(p, **{_DRIVE_ZERO_FIELD[slot]: 0.0 for slot in slots}),
-                           model, n_levels)
-    missing = [slot for slot in slots if slot not in drives]
-    if missing:
-        raise DomainError(f"{p.qubit_kind} qubit has no drive slot for {missing}")
-    return static, [drives[slot] for slot in slots]
 
 
 # ---------------------------------------------------------------------------

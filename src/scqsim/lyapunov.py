@@ -37,7 +37,8 @@ SUBSTEP_DRIFT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BilinearParams:
-    """Physical coefficients of the bilinear Bloch equations."""
+    """Physical coefficients of the bilinear Bloch equations. The feedback law
+    divides by c_V and c_I, so each must come out positive and finite."""
 
     E_c: float
     C_g: float
@@ -48,6 +49,11 @@ class BilinearParams:
         for name in ("E_c", "C_g", "n_zpf", "phi_zpf"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
+        for name, sources in (("c_V", "n_zpf, E_c and C_g"), ("c_I", "phi_zpf")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"the bilinear coefficient {name} (from {sources}) is "
+                                  f"{value!r}; it must be positive and finite")
 
     @property
     def c_V(self) -> float:

@@ -141,6 +141,10 @@ class TestValueParsers:
         with pytest.raises(ConfigError):
             parse_bloch_spec("0,0")
 
+    def test_bloch_spec_rejects_non_numeric(self):
+        with pytest.raises(ConfigError, match="Bloch spec '0,x,1' is not numeric"):
+            parse_bloch_spec("0,x,1")
+
     def test_params_file_unknown_key(self, tmp_path):
         path = write(tmp_path, "p.params", "E_c = 1e-23\nfoo = 2\n")
         with pytest.raises(ConfigError, match=r"p\.params:2.*foo"):
@@ -254,6 +258,14 @@ class TestNumericOverflow:
         err = capsys.readouterr().err
         assert err.startswith("scqsim: numeric failure: ") and err.count("\n") == 1
 
+    def test_overflow_names_the_model_and_kind(self, tmp_path, capsys):
+        # n_g**2 overflows in Python floats in the exact two-level build
+        path = write(tmp_path, "p.params", "E_c = 1e300\nE_J = 1e300\nn_g = 1e300\nphi_zpf = 1\n")
+        assert main(["simulate", "--qubit", "charge", "--model", "exact2", "--t-final", "1e-12",
+                     "--params", str(path)]) == 3
+        assert capsys.readouterr().err == ("scqsim: numeric failure: the exact_two_level "
+                                           "Hamiltonian of the charge qubit overflows a float\n")
+
 
 class TestJsonOnlyCommands:
     TRANSFER = ["--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
@@ -308,6 +320,32 @@ class TestCliLyapunov:
         assert rc == 3
         assert "substepped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, value", [
+        ("C_g = 1e-310\n", "0.0"),    # c_V underflows: the law divides by it
+        ("n_zpf = 1e-300\n", "0.0"),
+        ("phi_zpf = 1e-300\n", "inf"),  # n_zpf = 0.5 / phi_zpf takes c_V past the float range
+    ])
+    def test_unusable_bilinear_coefficient_is_a_config_error(self, params, value, tmp_path,
+                                                              capsys):
+        path = write(tmp_path, "p.params", params)
+        assert main(["lyapunov", "--r0=0.6,0,0.8", "--rf=0,0,1", "--alpha", "2", "--beta", "10",
+                     "--dt", "1e-3", "--steps", "10", "--params", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scqsim: configuration error: the bilinear coefficient c_V ")
+        assert f"is {value}; it must be positive and finite" in err and err.count("\n") == 1
+
+    def test_equatorial_target_leaves_an_equatorial_start_in_place(self, capsys):
+        # with zf = 0 every equatorial state has w = u = 0: the law never moves it
+        rc = main(["lyapunov", "--r0", "0,1,0", "--rf", "1,0,0", "--alpha", "2", "--beta", "10",
+                   "--dt", "1e-3", "--steps", "20000", "--format", "json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {"t", "x", "y", "z", "V", "I", "gamma", "converged", "final_error"} <= set(data)
+        assert data["converged"] is False
+        assert data["final_error"] == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert len(data["x"]) == 20001
+        assert set(data["x"]) == {0.0} and set(data["y"]) == {1.0} and set(data["z"]) == {0.0}
+
 
 class TestCliSimulate:
     def test_zero_drive_rows_are_identical(self, tmp_path, capsys):
@@ -337,6 +375,17 @@ class TestCliSimulate:
                      "--params", str(params), "--out", str(out)]) == 2
         assert "nan.params:1: E_J must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_t_final_too_short_for_the_default_dt(self, capsys):
+        assert main(["simulate", "--qubit", "charge", "--t-final", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("scqsim: configuration error: --t-final: t_final = 5e-324 is too short: "
+                       "its default dt = t_final / 2000 underflows to 0\n")
+
+    def test_fock_below_four_levels_rejected(self, capsys):
+        assert main(["simulate", "--qubit", "charge", "--model", "fock:3",
+                     "--t-final", "1e-13"]) == 2
+        assert "fock model needs at least 4 levels" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         rc = main(["simulate", "--qubit", "charge", "--t-final", "1e-13",
@@ -415,6 +464,12 @@ class TestCliPlumbing:
 
     def test_missing_config_file_exit_code(self):
         assert main(["--config", "/nonexistent/run.cfg"]) == 2
+
+    def test_no_subcommand_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([])
+        assert err.value.code == 2
+        assert "a subcommand or --config is required" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path, "run.cfg",

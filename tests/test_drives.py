@@ -14,8 +14,7 @@ from oracles import (cf4_states, pauli_coefficients, reconstruct_rotation, rodri
 from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
 from scqsim.drives import (
-    RotationTarget,
-    bisector_rotation,
+    bisector_axis,
     bloch_fidelity,
     carrier_frequency,
     closed_loop_experiment,
@@ -23,7 +22,6 @@ from scqsim.drives import (
     design_transfer,
     effective_rotating_hamiltonian,
     plan_to_dict,
-    rotation_target,
 )
 from scqsim.errors import (
     DegenerateBisectorError,
@@ -32,8 +30,8 @@ from scqsim.errors import (
     UnreachableAxisError,
 )
 from scqsim.evolution import TimeGrid
-from scqsim.hamiltonians import (DRIVE_SLOTS, QubitParams, build_approximate, default_params,
-                                 drive_free)
+from scqsim.hamiltonians import (DRIVE_KINDS, QubitParams, build_approximate,
+                                 build_exact_two_level, default_params, induced_charge)
 
 CHARGE = default_params("charge")
 PSI0 = unit_state(2, -1j)
@@ -43,45 +41,43 @@ T_F = 1e-12
 
 @pytest.fixture(scope="module")
 def charge_plan():
-    _, plan = design_transfer(PSI0, PSIF, T_F, CHARGE)
+    *_, plan = design_transfer(PSI0, PSIF, T_F, CHARGE)
     return plan
 
 
 class TestBisector:
     def test_charge_reference_axis(self):
-        n_hat, alpha = bisector_rotation([0, -4 / 5, 3 / 5], [2 / 3, 1 / 3, -2 / 3])
-        assert alpha == math.pi
+        n_hat = bisector_axis([0, -4 / 5, 3 / 5], [2 / 3, 1 / 3, -2 / 3])
         assert np.abs(n_hat - [0.816, -0.571, -0.0816]).max() < 1e-3
 
     def test_flux_reference_axis(self):
         r0 = bloch_from_state(unit_state(-1, 1j))
         rf = bloch_from_state(unit_state(2, 1 + 8j))
-        n_hat, _ = bisector_rotation(r0, rf)
+        n_hat = bisector_axis(r0, rf)
         assert np.abs(n_hat - [0.056, -0.517, -0.853]).max() < 1e-3
 
     def test_phase_reference_axis(self):
         # r0 taken from the state itself (x = -6/11)
         r0 = bloch_from_state(unit_state(-2, 3 - 3j))
         rf = bloch_from_state(unit_state(2, 2 - 1j) / 1.0)
-        n_hat, _ = bisector_rotation(r0, rf)
+        n_hat = bisector_axis(r0, rf)
         assert np.abs(n_hat - [0.414, 0.122, -0.902]).max() < 1e-3
 
     def test_same_state_is_fixed_axis(self):
         r = np.array([0.6, 0.0, 0.8])
-        n_hat, alpha = bisector_rotation(r, r)
+        n_hat = bisector_axis(r, r)
         assert np.allclose(n_hat, r)
-        assert alpha == math.pi
 
     def test_antipodal_states_rejected(self):
         with pytest.raises(DegenerateBisectorError):
-            bisector_rotation([0, 0, 1], [0, 0, -1])
+            bisector_axis([0, 0, 1], [0, 0, -1])
 
     @given(unit_bloch_vectors(), unit_bloch_vectors())
     def test_pi_rotation_about_bisector_maps_r0_to_rf(self, r0, rf):
         if np.linalg.norm(r0 + rf) < 1e-3:
             return
-        n_hat, alpha = bisector_rotation(r0, rf)
-        assert np.abs(rodrigues(n_hat, alpha) @ r0 - rf).max() < 1e-9
+        n_hat = bisector_axis(r0, rf)
+        assert np.abs(rodrigues(n_hat, math.pi) @ r0 - rf).max() < 1e-9
 
 
 class TestDesignDrive:
@@ -98,10 +94,9 @@ class TestDesignDrive:
             pytest.approx(408312678393, rel=1e-3)
 
     def test_phase_lambda_follows_the_formula(self):
-        target, plan = design_transfer(unit_state(-2, 3 - 3j),
-                                       unit_state(2, 2 - 1j),
-                                       T_F, default_params("phase"))
-        nx, ny = target.n_hat[0], target.n_hat[1]
+        *_, plan = design_transfer(unit_state(-2, 3 - 3j), unit_state(2, 2 - 1j),
+                                   T_F, default_params("phase"))
+        nx, ny = plan.n_hat[0], plan.n_hat[1]
         assert plan.lam == pytest.approx(math.atan(-4 * nx / ny), abs=1e-12)
         assert plan.lam == pytest.approx(-1.4974, abs=1e-4)
 
@@ -143,11 +138,15 @@ class TestDesignDrive:
     @pytest.mark.parametrize("kind, channel", [("charge", SIGMA_Z), ("phase", SIGMA_X),
                                                ("flux", SIGMA_X)])
     def test_plan_coupling_is_the_approximate_drive_term(self, kind, channel):
-        # the plan is designed on the model it is checked against: same k, bit for bit
+        # the plan is designed on the model it is checked against: the approximate
+        # matrix moves by k s channel when the drive field goes from 0 to s
         p = default_params(kind)
         plan = design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
-        dependence = build_approximate(p)[1][DRIVE_SLOTS[kind]]
-        assert np.array_equal(dependence, plan.k * channel)
+        field, s, value = {"charge": ("n_g", 1e-3, induced_charge(p.C_g, 1e-3)),
+                           "phase": ("I_g", 1e-3, 1e-3), "flux": ("phi_e", 0.5, 0.5)}[kind]
+        H0 = build_approximate(replace(p, **{field: 0.0}))
+        H1 = build_approximate(replace(p, **{field: value}))
+        assert np.allclose(H1 - H0, plan.k * s * channel, rtol=0, atol=1e-12 * abs(plan.k * s))
 
     def test_degenerate_carrier_rejected(self):
         p = QubitParams("charge", E_c=1e-23, E_J=1e-23, C_g=1e-15)
@@ -186,16 +185,15 @@ class TestRwaHamiltonian:
         assert np.allclose(H, -plan.k * plan.amplitude / 4 * SIGMA_Y)
 
     def test_phase_pattern(self):
-        _, plan = design_transfer(unit_state(-2, 3 - 3j),
-                                  unit_state(2, 2 - 1j),
-                                  T_F, default_params("phase"))
+        *_, plan = design_transfer(unit_state(-2, 3 - 3j), unit_state(2, 2 - 1j),
+                                   T_F, default_params("phase"))
         H = rwa_part(plan, 0.0, 0.0)
         Q, I = math.sin(plan.lam), math.cos(plan.lam)
         expected = plan.k * plan.amplitude / 16 * (Q * SIGMA_X - 4 * I * SIGMA_Y
                                                    - 4 * Q * SIGMA_Z)
         assert np.allclose(H, expected)
 
-    @given(st.sampled_from(sorted(DRIVE_SLOTS)), unit_bloch_vectors(),
+    @given(st.sampled_from(sorted(DRIVE_KINDS)), unit_bloch_vectors(),
            st.floats(min_value=-1e11, max_value=1e11),
            st.floats(min_value=0.0, max_value=1e-12))
     @example("charge", np.array([3.60535685e-296, 3.60535685e-296, 1.0]), 0.0, 0.0)  # subnormal
@@ -220,7 +218,7 @@ class TestRwaHamiltonian:
     @given(st.floats(min_value=-1e11, max_value=1e11),
            st.floats(min_value=0.0, max_value=1e-12))
     def test_hermitian(self, delta_omega, t):
-        _, plan = design_transfer(PSI0, PSIF, T_F, CHARGE)
+        *_, plan = design_transfer(PSI0, PSIF, T_F, CHARGE)
         H = rwa_part(plan, delta_omega, t)
         assert np.abs(H - H.conj().T).max() < 1e-30
 
@@ -276,33 +274,33 @@ class TestRotatingFrameAveraging:
 
 class TestClosedLoopExperiment:
     def test_rotating_frame_model_reaches_target(self, charge_plan):
-        target = rotation_target(bloch_from_state(PSI0), bloch_from_state(PSIF), T_F)
-        grid = TimeGrid(0.0, T_F / 2000, 2000)
+        rf = bloch_from_state(PSIF)
+        grid = TimeGrid(T_F / 2000, 2000)
         res = closed_loop_experiment(charge_plan, PSI0, "approximate_rotating",
-                                     grid, CHARGE, r_target=target.rf)
-        assert np.linalg.norm(res.r_final - target.rf) < 1e-3
+                                     grid, CHARGE, r_target=rf)
+        assert np.linalg.norm(res.r_final - rf) < 1e-3
         assert res.fidelity > 0.999
 
     def test_exact_lab_model_misses_target(self, charge_plan):
         # exact two-level charge drive only generates sigma_y rotations, so
         # the lab-frame run must land far from the designed target
-        target = rotation_target(bloch_from_state(PSI0), bloch_from_state(PSIF), T_F)
-        grid = TimeGrid(0.0, T_F / 2000, 2000)
+        r0, rf = bloch_from_state(PSI0), bloch_from_state(PSIF)
+        grid = TimeGrid(T_F / 2000, 2000)
         res = closed_loop_experiment(charge_plan, PSI0, "exact_lab", grid,
-                                     CHARGE, r_target=target.rf)
+                                     CHARGE, r_target=rf)
         n_zpf, _ = CHARGE.zpf()
         wc, lam = charge_plan.omega_c, charge_plan.lam
         integral = (charge_plan.amplitude * (math.cos(lam) - math.cos(wc * T_F + lam)) / wc
                     + charge_plan.dc_offset * T_F)
         theta = (2 / HBAR) * (-2 * CHARGE.E_c * n_zpf * CHARGE.C_g / (2 * 1.602176634e-19)) * integral
-        expected = rodrigues([0, 1, 0], theta) @ target.r0
+        expected = rodrigues([0, 1, 0], theta) @ r0
         assert np.abs(res.r_final - expected).max() < 1e-6
-        assert res.fidelity < bloch_fidelity(target.rf, target.rf) - 0.05
+        assert res.fidelity < bloch_fidelity(rf, rf) - 0.05
 
     def test_zero_amplitude_plan_is_stationary(self, charge_plan):
         plan = replace(charge_plan, amplitude=0.0, dc_offset=0.0)
         target_rf = bloch_from_state(PSIF)
-        grid = TimeGrid(0.0, T_F / 200, 200)
+        grid = TimeGrid(T_F / 200, 200)
         res = closed_loop_experiment(plan, PSI0, "exact_lab", grid, CHARGE,
                                      r_target=target_rf)
         assert np.abs(res.trajectory.bloch - res.trajectory.bloch[0]).max() < 1e-12
@@ -312,21 +310,21 @@ class TestClosedLoopExperiment:
     def test_unknown_model_rejected(self, charge_plan):
         with pytest.raises(DomainError):
             closed_loop_experiment(charge_plan, PSI0, "exact_fock",
-                                   TimeGrid(0.0, 1e-15, 1), CHARGE, bloch_from_state(PSIF))
+                                   TimeGrid(1e-15, 1), CHARGE, bloch_from_state(PSIF))
 
 
 def _exact_lab_oracle(plan, params, grid):
     """Closed-form single-axis rotation angle and axis of the exact lab-frame replay."""
     n_zpf, phi_zpf = params.zpf()
-    if DRIVE_SLOTS[plan.qubit_kind] == "V":
+    if plan.qubit_kind == "charge":
         axis, coeff = [0, 1, 0], -params.E_c * n_zpf * params.C_g / E_CHARGE
-    elif DRIVE_SLOTS[plan.qubit_kind] == "I":
+    elif plan.qubit_kind == "phase":
         axis, coeff = [1, 0, 0], -(HBAR / (2 * E_CHARGE)) * phi_zpf
     else:
         axis, coeff = [1, 0, 0], -params.E_L * phi_zpf
-    wc, lam, t0 = plan.omega_c, plan.lam, grid.t0
-    integral = (plan.amplitude * (np.cos(wc * t0 + lam) - np.cos(wc * grid.times + lam)) / wc
-                + plan.dc_offset * (grid.times - t0))
+    wc, lam = plan.omega_c, plan.lam
+    integral = (plan.amplitude * (np.cos(lam) - np.cos(wc * grid.times + lam)) / wc
+                + plan.dc_offset * grid.times)
     return axis, (2 / HBAR) * coeff * integral
 
 
@@ -334,78 +332,56 @@ class TestExactReplays:
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     def test_exact_lab_is_closed_form_rotation(self, kind):
         params = default_params(kind)
-        target, plan = design_transfer(PSI0, PSIF, T_F, params)
-        grid = TimeGrid(3e-13, T_F / 500, 500)
-        traj = closed_loop_experiment(plan, PSI0, "exact_lab", grid, params, target.rf).trajectory
+        r0, rf, plan = design_transfer(PSI0, PSIF, T_F, params)
+        grid = TimeGrid(T_F / 500, 500)
+        traj = closed_loop_experiment(plan, PSI0, "exact_lab", grid, params, rf).trajectory
         axis, theta = _exact_lab_oracle(plan, params, grid)
-        r0 = bloch_from_state(PSI0)
         expected = np.array([rodrigues(axis, th) @ r0 for th in theta])
         assert np.abs(theta).max() > 0.1  # the drive does rotate the state
         assert np.abs(traj.bloch - expected).max() < 1e-10
         assert np.abs(traj.norms - 1.0).max() < 1e-12
 
     @given(kind=st.sampled_from(["charge", "phase", "flux"]), psi0=pure_states(),
-           psif=pure_states(), log_tf=st.floats(min_value=-13.0, max_value=-11.0),
-           t0=st.floats(min_value=0.0, max_value=1e-12))
-    def test_exact_lab_matches_cf4_on_a_fine_grid(self, kind, psi0, psif, log_tf, t0):
-        # CF4 integrates H(t) = static + s(t) dH/d(slot) step by step, with s the
-        # plan's signal; the replay takes the closed-form integral of s instead
+           psif=pure_states(), log_tf=st.floats(min_value=-13.0, max_value=-11.0))
+    def test_exact_lab_matches_cf4_on_a_fine_grid(self, kind, psi0, psif, log_tf):
+        # CF4 integrates the exact model rebuilt with the plan's signal s(t) in its
+        # drive field, step by step; the replay takes the closed-form integral of s
         r0, rf = bloch_from_state(psi0), bloch_from_state(psif)
         total = r0 + rf
         assume(np.linalg.norm(total) > 1e-3)  # antipodal: no bisector
         assume(total[1] != 0.0 or total[0] == 0.0)  # else the axis is unreachable
         params = default_params(kind)
         t_f = 10.0**log_tf
-        target, plan = design_transfer(psi0, psif, t_f, params)
-        static, (drive,) = drive_free(params, "exact_two_level", [DRIVE_SLOTS[kind]])
+        *_, plan = design_transfer(psi0, psif, t_f, params)
 
         def h_of_t(t):
             signal = plan.amplitude * math.sin(plan.omega_c * t + plan.lam) + plan.dc_offset
-            return static + signal * drive
+            fields = {"charge": {"n_g": induced_charge(params.C_g, signal)},
+                      "phase": {"I_g": signal}, "flux": {"phi_e": signal}}
+            return build_exact_two_level(replace(params, **fields[kind]))
 
-        grid = TimeGrid(t0, t_f / 200, 200)
-        traj = closed_loop_experiment(plan, psi0, "exact_lab", grid, params, target.rf).trajectory
+        grid = TimeGrid(t_f / 200, 200)
+        traj = closed_loop_experiment(plan, psi0, "exact_lab", grid, params, rf).trajectory
         assert np.abs(traj.states - cf4_states(h_of_t, psi0, grid.times)).max() < 1e-8
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     def test_approximate_rotating_is_designed_rotation(self, kind):
         params = default_params(kind)
-        target, plan = design_transfer(PSI0, PSIF, T_F, params)
-        grid = TimeGrid(0.0, T_F / 400, 400)
+        r0, rf, plan = design_transfer(PSI0, PSIF, T_F, params)
+        grid = TimeGrid(T_F / 400, 400)
         traj = closed_loop_experiment(plan, PSI0, "approximate_rotating", grid,
-                                      params, target.rf).trajectory
-        expected = np.array([rodrigues(target.n_hat, target.omega_q * t) @ target.r0
+                                      params, rf).trajectory
+        expected = np.array([rodrigues(plan.n_hat, plan.omega_q * t) @ r0
                              for t in grid.times])
         assert np.abs(traj.bloch - expected).max() < 1e-10
         assert np.abs(traj.norms - 1.0).max() < 1e-12
 
-    def test_static_part_parallel_to_drive_is_folded_in(self):
-        # phase plan on an L-C-JJ circuit with a flux bias: the static sigma_x
-        # part -E_L phi_zpf phi_e commutes with the current drive and adds to
-        # the rotation angle
-        target, plan = design_transfer(PSI0, PSIF, T_F, default_params("phase"))
-        lcjj = default_params("lcjj")
-        params = replace(lcjj, E_L=lcjj.E_J, phi_e=0.3)
-        grid = TimeGrid(0.0, T_F / 500, 500)
-        traj = closed_loop_experiment(plan, PSI0, "exact_lab", grid, params, target.rf).trajectory
-        axis, theta = _exact_lab_oracle(plan, params, grid)
-        _, phi_zpf = params.zpf()
-        theta = theta + (2 / HBAR) * (-params.E_L * phi_zpf * params.phi_e) * grid.times
-        r0 = bloch_from_state(PSI0)
-        expected = np.array([rodrigues(axis, th) @ r0 for th in theta])
-        assert np.abs(traj.bloch - expected).max() < 1e-10
-
-    def test_noncommuting_static_part_rejected(self, charge_plan):
-        # a bias current adds sigma_x to an L-C-JJ circuit driven through sigma_y
-        params = replace(default_params("lcjj"), I_g=1e-9)
-        with pytest.raises(DomainError):
-            closed_loop_experiment(charge_plan, PSI0, "exact_lab",
-                                   TimeGrid(0.0, 1e-15, 10), params, bloch_from_state(PSIF))
-
     def test_drive_slot_missing_rejected(self, charge_plan):
-        with pytest.raises(DomainError):
-            closed_loop_experiment(charge_plan, PSI0, "exact_lab", TimeGrid(0.0, 1e-15, 10),
-                                   default_params("phase"), bloch_from_state(PSIF))
+        # the replay drives the plan's own circuit: no other kind takes a charge plan's V
+        for kind in ("phase", "lcjj"):
+            with pytest.raises(DomainError, match="a charge plan cannot drive a " + kind):
+                closed_loop_experiment(charge_plan, PSI0, "exact_lab", TimeGrid(1e-15, 10),
+                                       default_params(kind), bloch_from_state(PSIF))
 
 
 class TestControlPropagator:
@@ -414,17 +390,17 @@ class TestControlPropagator:
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     def test_is_the_designed_rotation(self, kind):
-        target, plan = design_transfer(PSI0, PSIF, T_F, default_params(kind))
+        *_, plan = design_transfer(PSI0, PSIF, T_F, default_params(kind))
         H = effective_rotating_hamiltonian(plan)
-        n = target.n_hat
-        expected = 0.5 * HBAR * target.omega_q * (n[0] * SIGMA_X + n[1] * SIGMA_Y
-                                                   + n[2] * SIGMA_Z)
+        n = plan.n_hat
+        expected = 0.5 * HBAR * plan.omega_q * (n[0] * SIGMA_X + n[1] * SIGMA_Y
+                                                 + n[2] * SIGMA_Z)
         assert np.abs(H - expected).max() < 1e-9 * np.abs(expected).max()
 
     def test_zero_plan_is_identity(self, charge_plan):
         plan = replace(charge_plan, amplitude=0.0, dc_offset=0.0)
         traj = closed_loop_experiment(plan, PSI0, "approximate_rotating",
-                                      TimeGrid(0.0, 1e-14, 100), CHARGE,
+                                      TimeGrid(1e-14, 100), CHARGE,
                                       bloch_from_state(PSIF)).trajectory
         assert np.abs(traj.states - PSI0).max() < 1e-15
 
@@ -433,11 +409,11 @@ class TestControlPropagator:
         a, b = 2.7e-13, 4.1e-13
         rf = bloch_from_state(PSIF)
         first = closed_loop_experiment(charge_plan, PSI0, "approximate_rotating",
-                                       TimeGrid(0.0, a, 1), CHARGE, rf).trajectory
+                                       TimeGrid(a, 1), CHARGE, rf).trajectory
         second = closed_loop_experiment(charge_plan, first.states[-1], "approximate_rotating",
-                                        TimeGrid(0.0, b, 1), CHARGE, rf).trajectory
+                                        TimeGrid(b, 1), CHARGE, rf).trajectory
         whole = closed_loop_experiment(charge_plan, PSI0, "approximate_rotating",
-                                       TimeGrid(0.0, a + b, 1), CHARGE, rf).trajectory
+                                       TimeGrid(a + b, 1), CHARGE, rf).trajectory
         assert np.abs(second.states[-1] - whole.states[-1]).max() < 1e-12
 
     def test_matches_rwa_exponential_without_dc(self, charge_plan):
@@ -446,7 +422,7 @@ class TestControlPropagator:
         H = plan.k * plan.amplitude / 8 * (Q * SIGMA_X - 2 * I * SIGMA_Y + Q * SIGMA_Z)
         assert np.allclose(effective_rotating_hamiltonian(plan), H, rtol=0,
                            atol=1e-15 * np.abs(H).max())
-        grid = TimeGrid(0.0, 1e-13, 6)
+        grid = TimeGrid(1e-13, 6)
         traj = closed_loop_experiment(plan, PSI0, "approximate_rotating", grid, CHARGE,
                                       bloch_from_state(PSIF)).trajectory
         for t, psi in zip(grid.times, traj.states):
@@ -470,16 +446,6 @@ class TestBlochFidelity:
 
 
 class TestValidation:
-    def test_rotation_target_needs_a_unit_axis(self):
-        with pytest.raises(UnreachableAxisError):
-            RotationTarget(np.zeros(3), np.zeros(3), np.array([0.0, 0.0, 2.0]),
-                           math.pi, 1e-12, math.pi / 1e-12)
-
-    def test_rotation_target_rate_must_match_angle_over_time(self):
-        with pytest.raises(DomainError, match="omega_q"):
-            RotationTarget(np.zeros(3), np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                           math.pi, 1e-12, 1e12)
-
     def test_negative_carrier_rejected(self, charge_plan):
         with pytest.raises(DomainError, match="non-negative"):
             replace(charge_plan, omega_c=-1.0)
@@ -491,7 +457,7 @@ class TestValidation:
 
     def test_bisector_needs_unit_vectors(self):
         with pytest.raises(InvalidStateError, match="r0"):
-            bisector_rotation([0.0, 0.0, 0.5], [0.0, 1.0, 0.0])
+            bisector_axis([0.0, 0.0, 0.5], [0.0, 1.0, 0.0])
 
     def test_design_needs_a_unit_axis(self):
         with pytest.raises(UnreachableAxisError):

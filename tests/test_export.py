@@ -48,16 +48,16 @@ def json_text(data):
 
 class TestTrajectoryJson:
     def test_two_level_run(self):
-        traj = propagate_static(build_exact_two_level(default_params("charge"))[0], PSI0,
-                                TimeGrid(0.0, 1e-14, 700))
+        traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
+                                TimeGrid(1e-14, 700))
         text = json_text(export.trajectory_to_dict(traj))
         assert text == naive_json(dict(zip(*trajectory_columns(traj))))
 
     def test_fock_run_with_leakage_column(self):
         psi0 = np.zeros(8, dtype=complex)
         psi0[:2] = PSI0
-        traj = propagate_static(build_fock(default_params("charge"), 8)[0], psi0,
-                                TimeGrid(0.0, 1e-14, 300))
+        traj = propagate_static(build_fock(default_params("charge"), 8), psi0,
+                                TimeGrid(1e-14, 300))
         data = export.trajectory_to_dict(traj)
         assert "leakage" in data and traj.leakage.max() > 0
         assert json_text(data) == naive_json(dict(zip(*trajectory_columns(traj))))
@@ -65,8 +65,8 @@ class TestTrajectoryJson:
 
 class TestLyapunovJson:
     @pytest.mark.parametrize("integrator, gains, grid", [
-        ("fixed_rk4", Gains(2.0, 10.0), TimeGrid(0.0, 1e-3, 600)),
-        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 600)),  # frozen tail
+        ("fixed_rk4", Gains(2.0, 10.0), TimeGrid(1e-3, 600)),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(1e-3, 600)),  # frozen tail
     ])
     def test_run(self, integrator, gains, grid):
         run = simulate_closed_loop(R0, np.array([0.0, 0.0, 1.0]), gains,
@@ -360,13 +360,13 @@ def test_writer_peak_memory(output, bound_kib):
     peaked at 1543 KiB.
     """
     if output == "trajectory":
-        traj = propagate_static(build_exact_two_level(default_params("charge"))[0], PSI0,
-                                TimeGrid(0.0, 5e-15, 2001))
+        traj = propagate_static(build_exact_two_level(default_params("charge")), PSI0,
+                                TimeGrid(5e-15, 2001))
         write = lambda: export.write_trajectory_csv(traj, Discard())
     else:
         run = simulate_closed_loop(R0, np.array([0.0, 0.0, 1.0]), Gains(2.0, 10.0),
                                    BilinearParams.from_qubit(default_params("lcjj")),
-                                   TimeGrid(0.0, 1e-3, 20001), integrator="fixed_rk4")
+                                   TimeGrid(1e-3, 20001), integrator="fixed_rk4")
         if output == "feedback":
             write = lambda: export.write_lyapunov_csv(run, Discard())
         else:

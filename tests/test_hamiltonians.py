@@ -22,7 +22,7 @@ from scqsim.hamiltonians import (
     cosine_of,
     default_params,
     drive_coupling,
-    drive_free,
+    exact_drive_operator,
     induced_charge,
     number_phase_operators,
     zero_point_fluctuations,
@@ -64,6 +64,11 @@ class TestQubitParams:
         assert phi_zpf == 0.0398
         assert n_zpf == pytest.approx(0.5 / 0.0398)
 
+    def test_both_scales_supplied_are_kept_as_given(self):
+        # the pair need not multiply to 1/2 when both are given, nor is E_LJ0 read
+        p = QubitParams("charge", E_c=1e-23, E_J=1e-24, E_LJ0=1e-24, n_zpf=3.0, phi_zpf=0.25)
+        assert p.zpf() == (3.0, 0.25)
+
     def test_zpf_needs_some_input(self):
         p = QubitParams("charge", E_c=1e-23, E_J=1e-24)
         with pytest.raises(DomainError):
@@ -81,12 +86,12 @@ class TestQubitParams:
 class TestApproximate:
     def test_charge_sweet_spot(self):
         p = QubitParams("charge", E_c=1e-22, E_J=1e-24, n_g=0.5)
-        H, _ = build_approximate(p)
+        H = build_approximate(p)
         assert np.allclose(H, 0.5 * p.E_J * SIGMA_X)
 
     def test_charge_reference_coefficients(self):
         p = default_params("charge")
-        H, _ = build_approximate(p)
+        H = build_approximate(p)
         cx, cy, cz = pauli_coefficients(H)
         assert cz == pytest.approx(p.E_c * (0.5 - p.n_g), rel=1e-12)
         assert cx == pytest.approx(0.5 * p.E_J, rel=1e-12)
@@ -100,8 +105,8 @@ class TestApproximate:
         p = default_params("phase")
         _, phi_zpf = p.zpf()
         I_g = p.E_J * E_CHARGE / (HBAR * phi_zpf)
-        H, _ = build_approximate(QubitParams("phase", E_c=p.E_c, E_J=p.E_J,
-                                             I_g=I_g, phi_zpf=phi_zpf))
+        H = build_approximate(QubitParams("phase", E_c=p.E_c, E_J=p.E_J,
+                                          I_g=I_g, phi_zpf=phi_zpf))
         cx, _, _ = pauli_coefficients(H)
         assert abs(cx) < 1e-37
 
@@ -144,7 +149,7 @@ class TestExactTwoLevel:
     def test_matches_substitution_oracle(self, kind, drives):
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24, **drives)
-        H, _ = build_exact_two_level(p)
+        H = build_exact_two_level(p)
         oracle = substitution_oracle(p)
         scale = np.abs(oracle).max()
         assert np.abs(H - without_offset(oracle)).max() < 1e-12 * scale
@@ -153,13 +158,13 @@ class TestExactTwoLevel:
     def test_zero_drives_freeze_the_state(self, kind):
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24)
-        H, _ = build_exact_two_level(p)
+        H = build_exact_two_level(p)
         assert np.abs(H).max() < 1e-30
 
     def test_charge_drive_is_pure_sigma_y(self):
         p = default_params("charge")
         n_zpf, _ = p.zpf()
-        H, _ = build_exact_two_level(p)
+        H = build_exact_two_level(p)
         cx, cy, cz = pauli_coefficients(H)
         assert cx == 0.0 and cz == 0.0
         assert cy == pytest.approx(-2 * p.E_c * p.n_g * n_zpf, rel=1e-12)
@@ -167,8 +172,8 @@ class TestExactTwoLevel:
     def test_pauli_channel_orthogonality(self):
         # approximate lives in span{sx, sz}; exact two-level drive in span{sy}
         p = default_params("charge")
-        H_app, _ = build_approximate(p)
-        H_ex, _ = build_exact_two_level(p)
+        H_app = build_approximate(p)
+        H_ex = build_exact_two_level(p)
         assert np.trace(SIGMA_Y @ H_app) == 0
         assert np.trace(SIGMA_X @ H_ex) == 0
         assert np.trace(SIGMA_Z @ H_ex) == 0
@@ -179,21 +184,23 @@ class TestExactTwoLevel:
         ("phi_e", (0.0, 0.0, 0.1)),
     ])
     def test_drive_dependence_is_the_derivative(self, slot, drives):
-        # the traceless part is linear in each of (V, I, phi_e): dH/d(slot) is constant
+        # the traceless part is linear in each of (V, I, phi_e): dH/d(slot) is the
+        # exact drive operator of the circuit that slot drives alone
         p = QubitParams("lcjj", E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, E_LJ0=1.359e-24)
         V, I, phi_e = drives
-        H0, _ = build_exact_two_level(p)
-        H1, dependence = build_exact_two_level(
-            replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e))
+        H0 = build_exact_two_level(p)
+        H1 = build_exact_two_level(replace(p, n_g=induced_charge(p.C_g, V), I_g=I, phi_e=phi_e))
         delta = dict(zip(("V", "I", "phi_e"), drives))[slot]
         finite_diff = (H1 - H0) / delta
-        assert np.allclose(finite_diff, dependence[slot], rtol=1e-9)
+        kind = {"V": "charge", "I": "phase", "phi_e": "flux"}[slot]
+        assert np.allclose(finite_diff, exact_drive_operator(replace(p, qubit_kind=kind)),
+                           rtol=1e-9, atol=0)
 
     def test_lcjj_voltage_drive_coefficient(self):
         p = replace(default_params("lcjj"), n_g=induced_charge(0.68e-15, 1e-6))
         n_zpf, _ = p.zpf()
-        cx, cy, cz = pauli_coefficients(build_exact_two_level(p)[0])
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p))
         assert cy == pytest.approx(-2 * p.E_c * n_zpf * induced_charge(p.C_g, 1e-6),
                                    rel=1e-12)
         assert cx == 0.0 and cz == 0.0
@@ -201,7 +208,7 @@ class TestExactTwoLevel:
     def test_lcjj_current_drive_coefficient(self):
         p = replace(default_params("lcjj"), I_g=1e-9)
         _, phi_zpf = p.zpf()
-        cx, cy, cz = pauli_coefficients(build_exact_two_level(p)[0])
+        cx, cy, cz = pauli_coefficients(build_exact_two_level(p))
         assert cx == pytest.approx(-HBAR / (2 * E_CHARGE) * phi_zpf * 1e-9, rel=1e-12)
         assert cy == 0.0 and cz == 0.0
 
@@ -229,15 +236,15 @@ def fock_oracle(p, n_levels):
 def lowest_level_shift(p, n_levels):
     """Relative shift of the lowest transition E1 - E0 when the truncation doubles
     (the builders drop the identity offset, so absolute levels carry no meaning)."""
-    small = np.diff(np.linalg.eigvalsh(build_fock(p, n_levels)[0])[:2])
-    large = np.diff(np.linalg.eigvalsh(build_fock(p, 2 * n_levels)[0])[:2])
+    small = np.diff(np.linalg.eigvalsh(build_fock(p, n_levels))[:2])
+    large = np.diff(np.linalg.eigvalsh(build_fock(p, 2 * n_levels))[:2])
     return float(np.abs(small - large).max() / np.abs(large).max())
 
 
 class TestFock:
     def test_matches_direct_construction(self):
         p = default_params("charge")
-        H, _ = build_fock(p, 8)
+        H = build_fock(p, 8)
         oracle = fock_oracle(p, 8)
         assert np.abs(H - without_offset(oracle)).max() < 1e-12 * np.abs(oracle).max()
 
@@ -246,7 +253,7 @@ class TestFock:
         p = QubitParams(kind, E_c=7.55e-23, E_J=1.359e-24, E_L=6e-23,
                         C_g=0.68e-15, n_g=0.4, I_g=1e-6, phi_e=0.3,
                         E_LJ0=1.359e-24)
-        H, _ = build_fock(p, 12)
+        H = build_fock(p, 12)
         assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
 
     def test_cosine_vacuum_expectation(self):
@@ -261,7 +268,7 @@ class TestFock:
     def test_charging_only_hamiltonian(self):
         # E_J = 0, no drives: H = E_c n^2 built on the truncated ladder
         p = QubitParams("charge", E_c=7.55e-23, E_J=0.0, E_LJ0=1.359e-24)
-        H, _ = build_fock(p, 4)
+        H = build_fock(p, 4)
         n_zpf, _ = p.zpf()
         a = annihilation_operator(4)
         n_op = 1j * n_zpf * (a - a.conj().T)
@@ -290,9 +297,14 @@ class TestFock:
         assert lowest_level_shift(default_params("charge"), 4) > 1e-2
 
     def test_lcjj_carries_all_three_drive_slots(self):
-        H, drives = build(default_params("lcjj"), "fock")
+        # the L-C-JJ matrix moves with each drive field: n_g (V), I_g and phi_e
+        lcjj = default_params("lcjj")
+        p = replace(lcjj, E_L=lcjj.E_J)
+        H = build(p, "fock")
         assert H.shape == (8, 8)
-        assert set(drives) == {"V", "I", "phi_e"}
+        for field in ("n_g", "I_g", "phi_e"):
+            moved = build(replace(p, **{field: 0.1}), "fock")
+            assert np.abs(moved - H).max() > 1e-6 * np.abs(H).max(), field
 
     def test_ladder_commutator(self):
         # [a, a^dag] = I on every level but the last, which the truncation cuts
@@ -310,17 +322,27 @@ class TestFock:
 
 
 class TestDriveFree:
+    """With its drive field at zero the exact model of a charge, phase or flux qubit is
+    drive-free: its traceless matrix is zero, and a signal s in that field gives
+    s times exact_drive_operator. The approximate and Fock matrices are linear in
+    the field too, with the dH/d(slot) written out here."""
+
     def test_matches_static_rebuild(self):
-        p = default_params("charge")
-        static, (drive,) = drive_free(p, "exact_two_level", ["V"])
-        for t in (0.0, 3e-13, 7e-13):
-            V = 2e-3 * np.sin(1e11 * t)
-            expected, _ = build_exact_two_level(replace(p, n_g=induced_charge(p.C_g, V)))
-            assert np.allclose(static + V * drive, expected, atol=1e-40)
+        for kind, field in (("charge", "n_g"), ("phase", "I_g"), ("flux", "phi_e")):
+            p = default_params(kind)
+            drive = exact_drive_operator(p)
+            assert not build_exact_two_level(replace(p, **{field: 0.0})).any()
+            for t in (0.0, 3e-13, 7e-13):
+                signal = value = 2e-3 * np.sin(1e11 * t)
+                if kind == "charge":
+                    value = induced_charge(p.C_g, signal)
+                expected = build_exact_two_level(replace(p, **{field: value}))
+                assert np.allclose(signal * drive, expected, rtol=1e-12, atol=0), kind
 
     def test_unknown_slot_rejected(self):
+        # lcjj takes V, I and phi_e at once: it has no one drive operator
         with pytest.raises(DomainError):
-            drive_free(default_params("charge"), "exact_two_level", ["I"])
+            exact_drive_operator(default_params("lcjj"))
 
     @pytest.mark.parametrize("kind, model, slot, field, amplitude", [
         ("phase", "approximate", "I", "I_g", 2e-3),
@@ -330,21 +352,21 @@ class TestDriveFree:
     def test_models_match_static_rebuilds(self, kind, model, slot, field, amplitude):
         # the fock model takes 8 levels by default
         p = default_params(kind)
-        static, (drive,) = drive_free(p, model, [slot])
+        static = build(replace(p, **{field: 0.0}), model)
+        if model == "approximate":  # k sigma_x for the phase qubit's I and the flux qubit's phi_e
+            drive = drive_coupling(kind, p) * SIGMA_X
+        else:  # E_c (n - n_g)^2 with n_g = C_g V / 2e
+            drive = -2 * p.E_c * p.C_g / (2 * E_CHARGE) * number_phase_operators(p, 8)[0]
         for t in (0.0, 3e-13, 7e-13, 2e-12):
             signal = value = amplitude * np.sin(1e11 * t)
             if slot == "V":
                 value = induced_charge(p.C_g, value)
-            rebuilt = replace(p, **{field: value})
-            expected, _ = (build_approximate(rebuilt) if model == "approximate"
-                           else build_fock(rebuilt, 8))
+            expected = build(replace(p, **{field: value}), model)
             assert static.shape == expected.shape
             assert np.allclose(static + signal * drive, expected, rtol=0,
                                atol=1e-12 * np.abs(expected).max())
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(DomainError, match="unknown model"):
-            drive_free(default_params("charge"), "exact", ["V"])
         with pytest.raises(DomainError, match="unknown model"):
             build(default_params("charge"), "approx")
 
@@ -359,13 +381,13 @@ class TestBuild:
         original = getattr(hamiltonians, builder)
         monkeypatch.setattr(hamiltonians, builder,
                             lambda *args: calls.append(args) or original(*args))
-        H, _ = build(default_params("phase"), model, 6)
+        H = build(default_params("phase"), model, 6)
         assert len(calls) == 1
         assert H.shape == ((6, 6) if model == "fock" else (2, 2))
 
     def test_fock_takes_eight_levels_by_default(self):
-        assert build(default_params("charge"), "fock")[0].shape == (8, 8)
-        assert build(default_params("charge"), "fock", 5)[0].shape == (5, 5)
+        assert build(default_params("charge"), "fock").shape == (8, 8)
+        assert build(default_params("charge"), "fock", 5).shape == (5, 5)
 
 
 KIND_MODELS = [(kind, model) for kind in ("charge", "phase", "flux", "lcjj")
@@ -374,25 +396,23 @@ KIND_MODELS = [(kind, model) for kind in ("charge", "phase", "flux", "lcjj")
 
 
 class TestHamiltonianOperator:
-    """The (matrix, drives) pair each builder returns: the traceless complex matrix
-    that propagation takes, and dH/d(slot) per drive slot."""
+    """The matrix each builder returns: the traceless complex matrix that
+    propagation takes."""
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="Hermitian"):
             propagate_static(np.array([[0, 1], [0, 0]], dtype=complex), [1, 0],
-                             TimeGrid(0.0, 1e-13, 2))
+                             TimeGrid(1e-13, 2))
 
     def test_traceless_removes_the_offset(self):
         for kind, model in KIND_MODELS:
             p = replace(default_params(kind), n_g=0.4, I_g=1e-6, phi_e=0.3)
-            H, _ = build(p, model, 6)
+            H = build(p, model, 6)
             assert abs(np.trace(H)) <= 1e-15 * np.abs(H).max(), (kind, model)
 
     def test_matrix_stored_as_complex(self):
         for kind, model in KIND_MODELS:
-            H, drives = build(default_params(kind), model, 6)
-            assert H.dtype == complex
-            assert all(d.dtype == complex and d.shape == H.shape for d in drives.values())
+            assert build(default_params(kind), model, 6).dtype == complex
 
 
 class TestDefaultParams:

@@ -117,7 +117,7 @@ class TestLyapunovValue:
 
     def test_array_matches_per_row_dot(self):
         bloch = simulate_closed_loop(R0, RF, GAINS, PARAMS,
-                                     TimeGrid(0.0, 1e-3, 2000)).trajectory.bloch
+                                     TimeGrid(1e-3, 2000)).trajectory.bloch
         per_row = [0.5 * np.dot(e, e) for e in bloch - RF]
         assert np.array_equal(lyapunov_value(bloch, RF), per_row)
         assert lyapunov_value(bloch.reshape(-1, 1, 3), RF).shape == (2001, 1)
@@ -135,13 +135,22 @@ class TestArrayControls:
 
 class TestSimulateClosedLoop:
     def test_start_at_target_stays(self):
-        run = simulate_closed_loop(RF, RF, GAINS, PARAMS, TimeGrid(0.0, 1e-3, 100))
+        run = simulate_closed_loop(RF, RF, GAINS, PARAMS, TimeGrid(1e-3, 100))
         assert np.abs(run.trajectory.bloch - RF).max() == 0.0
         assert np.abs(run.V_series).max() == 0.0
         assert np.abs(run.I_series).max() == 0.0
 
+    def test_substepped_run_held_from_the_first_sample(self):
+        # at the target the feedback speed is 0: the kernel returns before its first
+        # step, and every row repeats r0
+        run = simulate_closed_loop(RF, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(1e-3, 10),
+                                   integrator="substepped")
+        assert run.trajectory.bloch.shape == (11, 3)
+        assert (run.trajectory.bloch == RF).all()
+        assert run.converged
+
     def test_reference_run_against_fine_oracle(self):
-        grid = TimeGrid(0.0, 1e-3, 20000)
+        grid = TimeGrid(1e-3, 20000)
         run = simulate_closed_loop(R0, RF, GAINS, PARAMS, grid)
         assert run.final_error < 1e-3
         assert run.converged
@@ -154,7 +163,7 @@ class TestSimulateClosedLoop:
 
     def test_gamma_derivative_identity(self):
         # d(gamma)/dt = -alpha w^2 - beta u^2, checked at interval midpoints
-        grid = TimeGrid(0.0, 1e-4, 2000)
+        grid = TimeGrid(1e-4, 2000)
         run = simulate_closed_loop(R0, RF, GAINS, PARAMS, grid)
         r = run.trajectory.bloch
         mid = 0.5 * (r[:-1] + r[1:])
@@ -168,13 +177,13 @@ class TestSimulateClosedLoop:
 
     @given(param_scale)
     def test_trajectory_independent_of_physical_parameters(self, s):
-        grid = TimeGrid(0.0, 1e-3, 2000)
+        grid = TimeGrid(1e-3, 2000)
         base = simulate_closed_loop(R0, RF, GAINS, PARAMS, grid)
         other = simulate_closed_loop(R0, RF, GAINS, scaled_params(s), grid)
         assert np.abs(base.trajectory.bloch - other.trajectory.bloch).max() < 1e-10
 
     def test_antipodal_start_is_stationary_but_unstable(self):
-        grid = TimeGrid(0.0, 1e-3, 20000)
+        grid = TimeGrid(1e-3, 20000)
         run = simulate_closed_loop(-RF, RF, GAINS, PARAMS, grid)
         assert np.abs(run.trajectory.bloch + RF).max() == 0.0
         assert not run.converged
@@ -188,7 +197,7 @@ class TestSimulateClosedLoop:
     def test_physical_gains_give_microvolt_nanoamp_controls(self):
         start = time.perf_counter()
         run = simulate_closed_loop(R0, RF, Gains(1e10, 5e10), PARAMS,
-                                   TimeGrid(0.0, 1e-6, 20000),
+                                   TimeGrid(1e-6, 20000),
                                    integrator="substepped")
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
@@ -200,16 +209,16 @@ class TestSimulateClosedLoop:
     def test_fixed_step_diverges_on_stiff_gains(self):
         with pytest.raises(IntegrationError, match="substepped"):
             simulate_closed_loop(R0, RF, Gains(1e10, 5e10), PARAMS,
-                                 TimeGrid(0.0, 1e-6, 100))
+                                 TimeGrid(1e-6, 100))
 
     def test_rejects_non_unit_start(self):
         with pytest.raises(DomainError):
             simulate_closed_loop([0.5, 0, 0], RF, GAINS, PARAMS,
-                                 TimeGrid(0.0, 1e-3, 10))
+                                 TimeGrid(1e-3, 10))
 
     def test_rejects_unknown_integrator(self):
         with pytest.raises(DomainError):
-            simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(0.0, 1e-3, 10),
+            simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(1e-3, 10),
                                  integrator="euler")
 
 
@@ -220,10 +229,10 @@ class TestBitwiseOracle:
     """simulate_closed_loop and write_lyapunov_csv equal per-row references bit for bit."""
 
     @pytest.mark.parametrize("integrator, gains, grid, rf", [
-        ("fixed_rk4", GAINS, TimeGrid(0.0, 1e-3, 1500), RF),
-        ("fixed_rk4", GAINS, TimeGrid(0.0, 2e-3, 1500), RF_OFF_AXIS),
-        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200), RF),
-        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200), RF_OFF_AXIS),
+        ("fixed_rk4", GAINS, TimeGrid(1e-3, 1500), RF),
+        ("fixed_rk4", GAINS, TimeGrid(2e-3, 1500), RF_OFF_AXIS),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(1e-3, 200), RF),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(1e-3, 200), RF_OFF_AXIS),
     ])
     def test_closed_loop(self, integrator, gains, grid, rf):
         run = simulate_closed_loop(R0, rf, gains, PARAMS, grid, integrator=integrator)
@@ -236,8 +245,8 @@ class TestBitwiseOracle:
             assert np.all(bloch[-100:] == bloch[-1])
 
     @pytest.mark.parametrize("integrator, gains, grid, rf", [
-        ("fixed_rk4", GAINS, TimeGrid(0.0, 2e-3, 5000), RF_OFF_AXIS),
-        ("substepped", Gains(1e10, 5e10), TimeGrid(0.0, 1e-6, 300), RF),
+        ("fixed_rk4", GAINS, TimeGrid(2e-3, 5000), RF_OFF_AXIS),
+        ("substepped", Gains(1e10, 5e10), TimeGrid(1e-6, 300), RF),
     ])
     def test_closed_loop_in_benchmark_envelope(self, integrator, gains, grid, rf):
         # desk gains over a long fixed-step grid; physical gains to the pole,
@@ -255,7 +264,7 @@ class TestBitwiseOracle:
         # a start near the antipode escapes slowly, then outruns dt = 0.07
         r0 = -RF_OFF_AXIS + np.array([1e-6, 1e-6, 0.0])
         r0 /= np.linalg.norm(r0)
-        grid = TimeGrid(0.0, 0.07, 60)
+        grid = TimeGrid(0.07, 60)
         with np.errstate(over="ignore", invalid="ignore"):
             bloch = naive_closed_loop(r0, RF_OFF_AXIS, GAINS, PARAMS, grid)[0]
         first = next(k for k, row in enumerate(bloch)
@@ -265,8 +274,8 @@ class TestBitwiseOracle:
             simulate_closed_loop(r0, RF_OFF_AXIS, GAINS, PARAMS, grid)
 
     @pytest.mark.parametrize("integrator, gains, grid", [
-        ("fixed_rk4", GAINS, TimeGrid(0.0, 1e-3, 500)),
-        ("substepped", Gains(1e4, 5e4), TimeGrid(0.0, 1e-3, 200)),
+        ("fixed_rk4", GAINS, TimeGrid(1e-3, 500)),
+        ("substepped", Gains(1e4, 5e4), TimeGrid(1e-3, 200)),
     ])
     def test_csv(self, integrator, gains, grid):
         run = simulate_closed_loop(R0, RF, gains, PARAMS, grid, integrator=integrator)
@@ -369,7 +378,7 @@ class TestNormBand:
         norm = math.hypot(*steps(tuple(R0.tolist()), 2.0, 1))
         assert norm > NORM_CEILING
         with pytest.raises(IntegrationError) as failure:
-            simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(0.0, 2.0, 2000))
+            simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(2.0, 2000))
         assert str(failure.value) == drift_text(norm, 1)
 
     @pytest.mark.parametrize("last, expected", [
@@ -387,7 +396,7 @@ class TestNormBand:
 
         monkeypatch.setattr("scqsim.lyapunov._closed_loop_steps", stub)
         with pytest.raises(IntegrationError, match=expected):
-            simulate_closed_loop(R0, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(0.0, 1e-3, 10),
+            simulate_closed_loop(R0, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(1e-3, 10),
                                  integrator="substepped")
 
 
@@ -487,3 +496,9 @@ class TestValidation:
     def test_params_must_be_positive(self):
         with pytest.raises(DomainError):
             BilinearParams(E_c=0.0, C_g=1e-15, n_zpf=0.1, phi_zpf=3.0)
+
+    def test_c_I_must_be_finite(self):
+        # phi_zpf / e overflows to inf (it cannot underflow); the command line cannot
+        # reach this, as n_zpf = 0.5 / phi_zpf takes c_V to 0 first
+        with pytest.raises(DomainError, match=r"coefficient c_I \(from phi_zpf\) is inf;"):
+            BilinearParams(E_c=PARAMS.E_c, C_g=PARAMS.C_g, n_zpf=PARAMS.n_zpf, phi_zpf=1e300)
