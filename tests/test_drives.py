@@ -376,6 +376,14 @@ class TestExactReplays:
         assert np.abs(traj.bloch - expected).max() < 1e-10
         assert np.abs(traj.norms - 1.0).max() < 1e-12
 
+    def test_noncommuting_static_part_rejected(self, charge_plan):
+        # a bias current adds sigma_x to an L-C-JJ circuit driven through sigma_y:
+        # its static part is not zero, so the replay refuses the circuit
+        params = replace(default_params("lcjj"), I_g=1e-9)
+        with pytest.raises(DomainError, match="a charge plan cannot drive a lcjj circuit"):
+            closed_loop_experiment(charge_plan, PSI0, "exact_lab", TimeGrid(1e-15, 10),
+                                   params, bloch_from_state(PSIF))
+
     def test_drive_slot_missing_rejected(self, charge_plan):
         # the replay drives the plan's own circuit: no other kind takes a charge plan's V
         for kind in ("phase", "lcjj"):
