@@ -8,6 +8,7 @@ results go to --out or stdout.
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import export
 from .config import CHOICES, COMMAND_KEYS, REQUIRED, RunConfig, parse_config, resolve
+from .constants import HBAR
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
 from .errors import ConfigError, IntegrationError, NumericError, SimulationError
 from .evolution import TimeGrid, propagate_static
@@ -45,7 +47,14 @@ def run_simulate(cfg: RunConfig) -> int:
         padded = np.zeros(len(H), dtype=complex)
         padded[:2] = psi0
         psi0 = padded
-    traj = propagate_static(H, psi0, grid)
+    try:
+        traj = propagate_static(H, psi0, grid)
+    except FloatingPointError:  # the phases w t / hbar pass the float range
+        digits = (math.log10(np.abs(np.linalg.eigvalsh(H)).max()) + math.log10(grid.times[-1])
+                  - math.log10(HBAR))
+        raise NumericError(f"the {cfg.model} Hamiltonian of the {cfg.params.qubit_kind} qubit "
+                           "overflows in propagation: its generator scale max|w| t_final / hbar "
+                           f"is about 10^{digits:.1f}") from None
     with _output(cfg.out) as stream:
         if cfg.fmt == "csv":
             export.write_trajectory_csv(traj, stream)
@@ -128,7 +137,8 @@ _OPTION_HELP = {
     "rf": "target Bloch vector 'x,y,z'",
     "alpha": "feedback gain of the voltage channel",
     "beta": "feedback gain of the current channel",
-    "integrator": "closed-loop integrator",
+    "integrator": "fixed_rk4: one RK4 step per sample; substepped: adaptive "
+                  "Dormand-Prince steps, for gains far above 1/dt",
     "params": "qubit parameter file (key = value)",
     "out": "output path (default: stdout)",
     "format": "output format",

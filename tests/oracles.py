@@ -4,25 +4,22 @@ Nothing here imports the code paths under test: matrix exponentials come from
 a plain Taylor series, Bloch rotations from the Rodrigues formula, a generic
 H(t) from the commutator-free Magnus step CF4, drive plans back to rotations
 from the inversion identities, and the feedback loop from a literal
-reduced-form RK4. The bit-for-bit references of the feedback loop and its CSV
-are built one row at a time from the bilinear equations (bilinear_rhs, here)
-and the library's single-vector formulas (feedback_controls, lyapunov_value)
-and repr(), with none of the loop or export code they check; so are the
-trajectory CSV and the json text of both exports.
+reduced-form RK4 and from scipy's DOP853. The bit-for-bit references of the
+fixed-step feedback loop and its CSV are built one row at a time from the
+bilinear equations (bilinear_rhs, here) and the library's single-vector
+formulas (feedback_controls, lyapunov_value) and repr(), with none of the loop
+or export code they check; so are the trajectory CSV and the json text of both
+exports.
 """
 
 import json
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from scqsim.constants import HBAR
-from scqsim.lyapunov import (
-    FREEZE_DISPLACEMENT,
-    SUBSTEP_DRIFT_TOL,
-    feedback_controls,
-    lyapunov_value,
-)
+from scqsim.lyapunov import feedback_controls, lyapunov_value
 
 #: (ax, ay, az) of the rotating-frame drive k amp (ax Q sx - ay I sy + az Q sz) per kind
 DRIVE_AXES = {"charge": (1 / 8, 1 / 4, 1 / 8), "phase": (1 / 16, 1 / 4, -1 / 4),
@@ -159,13 +156,11 @@ def reduced_loop_rk4(r0, rf, alpha, beta, dt, steps):
     return out
 
 
-def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
-    """Per-row reference of simulate_closed_loop: (bloch, V, I, gamma).
+def naive_closed_loop(r0, rf, g, p, grid):
+    """Per-row reference of a fixed_rk4 simulate_closed_loop: (bloch, V, I, gamma).
 
     Every RK4 stage drives bilinear_rhs (flux and c_phi pinned at 0) with
-    feedback_controls at the stage state. The substepped branch applies the
-    step-doubling rules of the library's substepped integrator on every
-    sample, frozen ones included. V, I and gamma take one call per row.
+    feedback_controls at the stage state. V, I and gamma take one call per row.
     """
     rf = np.asarray(rf, dtype=float)
     dt = grid.dt
@@ -174,47 +169,51 @@ def naive_closed_loop(r0, rf, g, p, grid, integrator="fixed_rk4"):
         V, I = feedback_controls(r, rf, g, p)
         return bilinear_rhs(r, V, I, 0.0, 0.0, p)
 
-    def rk4(r, h):
-        k1 = f(r)
-        k2 = f(r + 0.5 * h * k1)
-        k3 = f(r + 0.5 * h * k2)
-        k4 = f(r + h * k3)
-        return r + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def speed(r):
-        w = r[0] * rf[2] - rf[0] * r[2]
-        u = rf[1] * r[2] - r[1] * rf[2]
-        return 2.0 * (g.alpha * abs(w) + g.beta * abs(u))
-
-    cap = 2.5 / max(g.alpha, g.beta)
-    h = dt
     r = np.asarray(r0, dtype=float)
     rows = [r]
     for _ in range(grid.steps):
-        if integrator == "fixed_rk4":
-            r = rk4(r, dt)
-        else:
-            h = min(h, dt, cap)
-            remaining = dt
-            while remaining > 0.0 and not speed(r) * remaining < FREEZE_DISPLACEMENT:
-                h = min(h, remaining)
-                while True:
-                    coarse = rk4(r, h)
-                    fine = rk4(rk4(r, 0.5 * h), 0.5 * h)
-                    err = math.hypot(*(fine - coarse))
-                    allowance = SUBSTEP_DRIFT_TOL * (h / dt)
-                    if err <= allowance:
-                        break
-                    h *= 0.5
-                r = fine
-                remaining -= h
-                if err < allowance / 64.0:
-                    h = min(h * 2.0, dt, cap)
+        k1 = f(r)
+        k2 = f(r + 0.5 * dt * k1)
+        k3 = f(r + 0.5 * dt * k2)
+        k4 = f(r + dt * k3)
+        r = r + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         rows.append(r)
     bloch = np.array(rows)
     controls = np.array([feedback_controls(b, rf, g, p) for b in bloch])
     gamma = np.array([lyapunov_value(b, rf) for b in bloch])
     return bloch, controls[:, 0], controls[:, 1], gamma
+
+
+def dop853_closed_loop(r0, rf, alpha, beta, times, arrived=1e-14):
+    """The gain-only closed loop at ``times`` by scipy's DOP853 at rtol 1e-13.
+
+    Each sample is the end of its own integration from the sample before, not
+    an interpolant. Integration stops once |r - rf| <= ``arrived``, and later
+    times repeat that state: the loop only contracts toward rf, and an
+    explicit method would otherwise spend its steps on a stiff decay that
+    moves nothing.
+    """
+    rf = np.asarray(rf, dtype=float)
+    xf, yf, zf = rf
+
+    def f(t, r):
+        w = r[0] * zf - xf * r[2]
+        u = yf * r[2] - r[1] * zf
+        return [-alpha * w * r[2], beta * u * r[2], alpha * w * r[0] - beta * u * r[1]]
+
+    def arrival(t, r):
+        return math.hypot(*(r - rf)) - arrived
+
+    arrival.terminal = True
+    rows = [np.asarray(r0, dtype=float)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        r = rows[-1]
+        if arrival(t0, r) > 0.0:
+            r = solve_ivp(f, (t0, t1), r, method="DOP853", rtol=1e-13, atol=1e-16,
+                          first_step=min(t1 - t0, 0.01 / max(alpha, beta)),
+                          events=arrival).y[:, -1]
+        rows.append(r)
+    return np.array(rows)
 
 
 def trajectory_columns(traj):

@@ -7,6 +7,7 @@ be read as a checklist (run with `pytest tests/test_acceptance.py -v -s`).
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from conftest import unit_state
 from oracles import cf4_states, reconstruct_rotation, reduced_loop_rk4, rodrigues
 
+from scqsim.cli import main
+from scqsim.config import parse_config
 from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
 from scqsim.drives import (
@@ -25,6 +28,7 @@ from scqsim.drives import (
 from scqsim.evolution import TimeGrid, propagate_static
 from scqsim.hamiltonians import (
     QubitParams,
+    build,
     build_approximate,
     build_exact_two_level,
     default_params,
@@ -198,3 +202,32 @@ def test_10_numerical_hygiene():
         oracle = reduced_loop_rk4(r0, rf, 3.0, 4.0, 1e-4, 50000)
         assert np.abs(run.trajectory.bloch[-1] - oracle[-1]).max() < 1e-8
         assert time.perf_counter() - start < 120.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_11_phase_trajectory_same_expectations_differ(tmp_path, monkeypatch):
+    # the abstract: for the phase qubit the approximate Hamiltonian traces the same
+    # trajectory as the exact one, yet the expectation values differ along it
+    with criterion(11, "phase qubit: same orbit, different expectations"):
+        monkeypatch.chdir(tmp_path)
+        rows, axes = {}, {}
+        for model in ("approx", "exact"):
+            config = CONFIGS / f"phase_static_{model}.cfg"
+            assert main(["--config", str(config)]) == 0
+            cfg = parse_config(config)
+            rows[model] = np.loadtxt(cfg.out, delimiter=",", skiprows=1)[:, 1:4]
+            axes[model] = np.array([np.trace(build(cfg.params, cfg.model) @ P).real / 2
+                                    for P in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+        a, n = axes["approx"], axes["exact"] / np.linalg.norm(axes["exact"])
+        angle = math.degrees(math.atan2(np.linalg.norm(np.cross(a, n)), a @ n))
+        assert angle < 1e-4  # 7.1e-6 deg
+        # distance of each approx sample to the exact orbit: the circle through
+        # r0 about n
+        c = rows["exact"][0] @ n
+        along = rows["approx"] @ n
+        across = np.linalg.norm(rows["approx"] - along[:, None] * n, axis=1)
+        orbit_gap = np.hypot(along - c, across - math.sqrt(1.0 - c * c))
+        assert orbit_gap.max() < 1e-6  # 2.5e-7
+        assert np.linalg.norm(rows["approx"] - rows["exact"], axis=1).max() >= 5e-3  # 8.7e-3

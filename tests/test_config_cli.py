@@ -266,6 +266,18 @@ class TestNumericOverflow:
         assert capsys.readouterr().err == ("scqsim: numeric failure: the exact_two_level "
                                            "Hamiltonian of the charge qubit overflows a float\n")
 
+    @pytest.mark.parametrize("model, digits", [("approx", "321.8"), ("fock:8", "325.2")])
+    def test_propagation_overflow_names_the_generator_scale(self, model, digits, tmp_path,
+                                                            capsys):
+        # the build is finite; max|w| t_final / hbar overflows in the phases
+        path = write(tmp_path, "p.params", "E_c = 1e300\nE_J = 1e300\n")
+        assert main(["simulate", "--qubit", "phase", "--model", model, "--t-final", "1e-12",
+                     "--params", str(path), "--out", str(tmp_path / "out.csv")]) == 3
+        name = {"approx": "approximate", "fock:8": "fock"}[model]
+        assert capsys.readouterr().err == (
+            f"scqsim: numeric failure: the {name} Hamiltonian of the phase qubit overflows in "
+            f"propagation: its generator scale max|w| t_final / hbar is about 10^{digits}\n")
+
 
 class TestJsonOnlyCommands:
     TRANSFER = ["--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
@@ -311,6 +323,16 @@ class TestCliLyapunov:
                    "--alpha", "1e10", "--beta", "5e10", "--dt", "1e-6",
                    "--steps", "50", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+    def test_substepped_step_budget_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # the pole run takes about 1k adaptive steps; past its budget the loop stops
+        monkeypatch.setattr("scqsim.lyapunov.LOOP_STEP_BUDGET", 100)
+        rc = main(["lyapunov", "--r0", "0.6,0,0.8", "--rf", "0,0,1",
+                   "--alpha", "1e10", "--beta", "5e10", "--dt", "1e-6", "--steps", "50",
+                   "--integrator", "substepped", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("scqsim: numeric failure: the adaptive closed loop took 100 steps")
 
     def test_norm_overshoot_is_a_numeric_failure(self, tmp_path, capsys):
         # fixed_rk4 pushes |r| past 1 + 1e-9 long before the 1e-4 drift bound

@@ -177,12 +177,13 @@ class TestRwaHamiltonian:
         plan = replace(charge_plan, lam=math.pi / 2)
         H = rwa_part(plan, 0.0, 0.0)
         expected = plan.k * plan.amplitude / 8 * (SIGMA_X + SIGMA_Z)
-        assert np.allclose(H, expected)
+        assert np.allclose(H, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_charge_in_phase_only(self, charge_plan):
         plan = replace(charge_plan, lam=0.0)
         H = rwa_part(plan, 0.0, 0.0)
-        assert np.allclose(H, -plan.k * plan.amplitude / 4 * SIGMA_Y)
+        expected = -plan.k * plan.amplitude / 4 * SIGMA_Y
+        assert np.allclose(H, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_phase_pattern(self):
         *_, plan = design_transfer(unit_state(-2, 3 - 3j), unit_state(2, 2 - 1j),
@@ -191,7 +192,7 @@ class TestRwaHamiltonian:
         Q, I = math.sin(plan.lam), math.cos(plan.lam)
         expected = plan.k * plan.amplitude / 16 * (Q * SIGMA_X - 4 * I * SIGMA_Y
                                                    - 4 * Q * SIGMA_Z)
-        assert np.allclose(H, expected)
+        assert np.allclose(H, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     @given(st.sampled_from(sorted(DRIVE_KINDS)), unit_bloch_vectors(),
            st.floats(min_value=-1e11, max_value=1e11),

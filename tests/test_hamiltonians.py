@@ -87,7 +87,8 @@ class TestApproximate:
     def test_charge_sweet_spot(self):
         p = QubitParams("charge", E_c=1e-22, E_J=1e-24, n_g=0.5)
         H = build_approximate(p)
-        assert np.allclose(H, 0.5 * p.E_J * SIGMA_X)
+        expected = 0.5 * p.E_J * SIGMA_X
+        assert np.allclose(H, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_charge_reference_coefficients(self):
         p = default_params("charge")

@@ -5,11 +5,17 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
-from oracles import bilinear_rhs, naive_closed_loop, naive_lyapunov_csv, reduced_loop_rk4
+from oracles import (
+    bilinear_rhs,
+    dop853_closed_loop,
+    naive_closed_loop,
+    naive_lyapunov_csv,
+    reduced_loop_rk4,
+)
 
 from scqsim.constants import HBAR
 from scqsim.errors import DomainError, IntegrationError
@@ -17,13 +23,13 @@ from scqsim.evolution import BlochTrajectory, TimeGrid
 from scqsim.export import write_lyapunov_csv
 from scqsim.hamiltonians import default_params
 from scqsim.lyapunov import (
-    FREEZE_DISPLACEMENT,
+    HOLD_DISTANCE,
     NORM_CEILING,
     NORM_FLOOR,
-    SUBSTEP_DRIFT_TOL,
     BilinearParams,
     Gains,
     LyapunovRun,
+    _adaptive_loop,
     _check_norm_band,
     _closed_loop_steps,
     feedback_controls,
@@ -224,9 +230,36 @@ class TestSimulateClosedLoop:
 
 RF_OFF_AXIS = np.array([0.6, 0.0, 0.8])
 
+#: largest difference allowed between a substepped run's rows and DOP853 at rtol 1e-13
+SUBSTEP_AGREEMENT = 1e-10
+
+
+def per_row_series(bloch, rf, gains):
+    """V, I and gamma of each row on its own, as naive_closed_loop forms them."""
+    controls = np.array([feedback_controls(b, rf, gains, PARAMS) for b in bloch])
+    return controls[:, 0], controls[:, 1], np.array([lyapunov_value(b, rf) for b in bloch])
+
+
+def check_against_references(run, integrator, r0, rf, gains, grid):
+    """A fixed_rk4 run equals naive_closed_loop bit for bit. A substepped run has no
+    bitwise reference: its rows agree with DOP853 within SUBSTEP_AGREEMENT, and its V,
+    I and gamma equal the per-row values of its rows bit for bit. Returns the rows."""
+    if integrator == "fixed_rk4":
+        bloch, *series = naive_closed_loop(r0, rf, gains, PARAMS, grid)
+        assert np.array_equal(run.trajectory.bloch, bloch)
+    else:
+        bloch = run.trajectory.bloch
+        reference = dop853_closed_loop(r0, rf, gains.alpha, gains.beta, grid.times)
+        assert np.abs(bloch - reference).max() <= SUBSTEP_AGREEMENT
+        series = per_row_series(bloch, rf, gains)
+    for got, want in zip((run.V_series, run.I_series, run.gamma_series), series):
+        assert np.array_equal(got, want)
+    return bloch
+
 
 class TestBitwiseOracle:
-    """simulate_closed_loop and write_lyapunov_csv equal per-row references bit for bit."""
+    """simulate_closed_loop and write_lyapunov_csv against per-row references: bit for
+    bit for fixed_rk4 runs and CSVs, see check_against_references for substepped runs."""
 
     @pytest.mark.parametrize("integrator, gains, grid, rf", [
         ("fixed_rk4", GAINS, TimeGrid(1e-3, 1500), RF),
@@ -236,12 +269,8 @@ class TestBitwiseOracle:
     ])
     def test_closed_loop(self, integrator, gains, grid, rf):
         run = simulate_closed_loop(R0, rf, gains, PARAMS, grid, integrator=integrator)
-        bloch, V, I, gamma = naive_closed_loop(R0, rf, gains, PARAMS, grid, integrator)
-        assert np.array_equal(run.trajectory.bloch, bloch)
-        assert np.array_equal(run.V_series, V)
-        assert np.array_equal(run.I_series, I)
-        assert np.array_equal(run.gamma_series, gamma)
-        if integrator == "substepped":  # the frozen tail is filled, not stepped
+        bloch = check_against_references(run, integrator, R0, rf, gains, grid)
+        if integrator == "substepped":  # the held tail is filled, not stepped
             assert np.all(bloch[-100:] == bloch[-1])
 
     @pytest.mark.parametrize("integrator, gains, grid, rf", [
@@ -250,13 +279,9 @@ class TestBitwiseOracle:
     ])
     def test_closed_loop_in_benchmark_envelope(self, integrator, gains, grid, rf):
         # desk gains over a long fixed-step grid; physical gains to the pole,
-        # where the state freezes after the first sample and the tail is filled
+        # where the state is held within the first sample and the tail is filled
         run = simulate_closed_loop(R0, rf, gains, PARAMS, grid, integrator=integrator)
-        bloch, V, I, gamma = naive_closed_loop(R0, rf, gains, PARAMS, grid, integrator)
-        assert np.array_equal(run.trajectory.bloch, bloch)
-        assert np.array_equal(run.V_series, V)
-        assert np.array_equal(run.I_series, I)
-        assert np.array_equal(run.gamma_series, gamma)
+        bloch = check_against_references(run, integrator, R0, rf, gains, grid)
         repeats = np.all(bloch[1:] == bloch[:-1], axis=1).sum()
         assert repeats == (grid.steps - 1 if integrator == "substepped" else 0)
 
@@ -381,109 +406,89 @@ class TestNormBand:
             simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(2.0, 2000))
         assert str(failure.value) == drift_text(norm, 1)
 
-    @pytest.mark.parametrize("last, expected", [
-        ((0.0, 0.0, 1.0 + 1e-6), "Bloch norm drifted by 1.000e-06 at sample 2;"),
-        ((0.0, 0.0, 1.0), "minimum step"),
-    ])
-    def test_a_row_out_of_band_precedes_a_later_kernel_error(self, monkeypatch, last,
-                                                               expected):
-        def stub(rf, g, p):
-            def steps(r, h, count, rows=None, dt=None):
-                rows.extend((0.6, 0.0, 0.8) + last)
-                raise IntegrationError("substepped integrator hit the minimum step without"
-                                       " meeting the local tolerance (err = 1.000e-16)")
-            return steps
 
-        monkeypatch.setattr("scqsim.lyapunov._closed_loop_steps", stub)
-        with pytest.raises(IntegrationError, match=expected):
-            simulate_closed_loop(R0, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(1e-3, 10),
-                                 integrator="substepped")
-
-
-class Stalled(Exception):
-    """More trials than a budget: the step halves and doubles around the
-    roundoff floor, where the allowance is below one ulp of the state."""
-
-
-def composed_samples(steps, r, rf, g, dt, count, budget=100_000):
-    """``count`` step-doubling samples composed from fixed-step kernel calls: a
-    coarse step, then two half steps in one call, per trial. Returns the
-    sample states up to the first frozen one and the numbers of rejected and
-    of doubling trials; raises IntegrationError at the minimum step, and
-    Stalled past ``budget`` trials."""
-    def speed(r):
-        w = r[0] * rf[2] - rf[0] * r[2]
-        u = rf[1] * r[2] - r[1] * rf[2]
-        return 2.0 * (g.alpha * abs(w) + g.beta * abs(u))
-
-    cap = 2.5 / max(g.alpha, g.beta)
-    h, rows, rejected, doubled = dt, [], 0, 0
-    for _ in range(count):
-        if speed(r) * dt < FREEZE_DISPLACEMENT:
-            break
-        h, remaining = min(h, dt, cap), dt
-        while remaining > 0.0 and not speed(r) * remaining < FREEZE_DISPLACEMENT:
-            h = min(h, remaining)
-            while True:
-                budget -= 1
-                if budget < 0:
-                    raise Stalled
-                coarse, fine = steps(r, h, 1), steps(r, 0.5 * h, 2)
-                err = math.hypot(*(f - c for f, c in zip(fine, coarse)))
-                allowance = SUBSTEP_DRIFT_TOL * (h / dt)
-                if err <= allowance:
-                    break
-                if h <= dt * 2.0 ** -48:
-                    raise IntegrationError("minimum step")
-                h *= 0.5
-                rejected += 1
-            r, remaining = fine, remaining - h
-            if err < allowance / 64.0:
-                h = min(h * 2.0, dt, cap)
-                doubled += 1
-        rows.extend(r)
-    return rows, rejected, doubled
+def unit_rows(seed, count):
+    """``count`` (r0, rf) pairs of unit vectors from a seeded normal draw."""
+    pairs = np.random.default_rng(seed).standard_normal((count, 2, 3))
+    return [tuple(v / np.linalg.norm(v) for v in pair) for pair in pairs]
 
 
 class TestSubsteppedKernel:
-    """Whole substepped samples in one kernel call against the same rules run
-    trial by trial through fixed-step calls, bit for bit."""
-
-    def check(self, r, rf, g, dt, count):
-        steps = _closed_loop_steps(rf, g, PARAMS)
-        try:
-            expected, rejected, doubled = composed_samples(steps, r, rf, g, dt, count)
-        except IntegrationError:
-            with pytest.raises(IntegrationError, match="minimum step"):
-                steps(r, dt, count, None, dt)
-            return None
-        rows = array("d")
-        last = steps(r, dt, count, rows, dt)
-        assert rows.tobytes() == array("d", expected).tobytes()
-        assert array("d", last).tobytes() == array("d", expected[-3:] or r).tobytes()
-        return len(rows) // 3, rejected, doubled
-
-    gains = st.floats(min_value=100.0, max_value=1000.0)
-
-    @given(unit_bloch_vectors(), unit_bloch_vectors(), gains, gains,
-           st.integers(min_value=1, max_value=3))
-    def test_samples_equal_composed_fixed_steps(self, r, rf, alpha, beta, count):
-        rf, r = tuple(rf.tolist()), tuple(r.tolist())
-        w, u = r[0] * rf[2] - rf[0] * r[2], rf[1] * r[2] - r[1] * rf[2]
-        assume(abs(w) + abs(u) > 1e-3)  # moves by far more than the tolerance in a sample
-        try:
-            outcome = self.check(r, rf, Gains(alpha, beta), 0.005, count)
-        except Stalled:  # the known substep stall, on which the kernel would not return
-            assume(False)
-        if outcome is not None:  # doubling steps: test_a_frozen_state_ends_the_call
-            samples, rejected, _ = outcome
-            assert samples == count
-            assume(rejected > 0)  # the retried trial shares its first stage too
+    """The adaptive Dormand-Prince loop: on the sphere, descending, held for good once
+    it has arrived, bounded in steps, and in agreement with DOP853."""
 
     def test_a_frozen_state_ends_the_call(self):
-        samples, rejected, doubled = self.check(tuple(R0.tolist()), tuple(RF.tolist()),
-                                                Gains(1e4, 5e4), 1e-3, 200)
-        assert 0 < samples < 200 and rejected > 0 and doubled > 0
+        # once held, the kernel returns: no step starts after the hold, and every
+        # later row repeats the held state bit for bit
+        dense = array("d")
+        t_hold, held = _adaptive_loop(tuple(R0.tolist()), tuple(RF.tolist()), Gains(1e4, 5e4),
+                                      1e-3, 200, dense)
+        assert 0.0 < t_hold < 0.01
+        assert math.hypot(*(np.array(held) - RF)) <= HOLD_DISTANCE
+        starts = np.frombuffer(dense).reshape(-1, 17)[:, 0]
+        assert 0 < len(starts) <= round(t_hold / 1e-3) and starts.max() < t_hold
+        bloch = simulate_closed_loop(R0, RF, Gains(1e4, 5e4), PARAMS, TimeGrid(1e-3, 200),
+                                     integrator="substepped").trajectory.bloch
+        later = TimeGrid(1e-3, 200).times > t_hold
+        assert later.sum() > 100 and (bloch[later] == held).all()
+
+    gains = st.floats(min_value=0.1, max_value=10.0)
+
+    @given(unit_bloch_vectors(), unit_bloch_vectors(), gains, gains,
+           st.floats(min_value=0.01, max_value=1.0), st.integers(min_value=2, max_value=200))
+    @example(R0, RF, 2.0, 10.0, 0.5, 200)  # held after about 80 of 200 samples
+    # long steps: an interpolated DOP853 reference was 5.7e-10 off here
+    @example(np.array([1.0, 0.0, 0.0]), np.array([0.79993751, 0.01249902, 0.59995313]),
+             1.5, 0.125, 1.0, 4)
+    def test_on_the_sphere_descending_and_near_dop853(self, r0, rf, alpha, beta, scale, steps):
+        # a start near -rf or a target near the equator leaves the loop ill-conditioned or
+        # stiff; both are slow for DOP853, not wrong
+        assume(np.linalg.norm(r0 + rf) >= 0.1 and abs(rf[2]) >= 0.2)
+        gains, grid = Gains(alpha, beta), TimeGrid(scale / min(alpha, beta), steps)
+        run = simulate_closed_loop(r0, rf, gains, PARAMS, grid, integrator="substepped")
+        bloch, eps = run.trajectory.bloch, np.finfo(float).eps
+        assert np.abs(np.linalg.norm(bloch[1:], axis=1) - 1.0).max() <= 4 * eps
+        assert np.diff(run.gamma_series).max() <= eps
+        t_hold, held = _adaptive_loop(tuple(r0.tolist()), tuple(rf.tolist()), gains, grid.dt,
+                                      grid.steps, array("d"))
+        assert (bloch[grid.times > t_hold] == held).all()
+        check_against_references(run, "substepped", r0, rf, gains, grid)
+
+    def test_step_budget(self, monkeypatch):
+        # a pole run at physical gains takes about 1k steps
+        monkeypatch.setattr("scqsim.lyapunov.LOOP_STEP_BUDGET", 100)
+        with pytest.raises(IntegrationError, match="took 100 steps and reached t = "):
+            simulate_closed_loop(R0, RF, Gains(1e10, 5e10), PARAMS, TimeGrid(1e-6, 20000),
+                                 integrator="substepped")
+
+    @pytest.mark.parametrize("seed, gains, grid", [
+        (4242, Gains(2.0, 10.0), TimeGrid(0.05, 400)),
+        (4242, Gains(1e10, 5e10), TimeGrid(1e-6, 20000)),
+    ], ids=["desk", "physical"])
+    def test_seeded_draws(self, seed, gains, grid):
+        # the step-doubling integrator this loop replaced exited at its minimum step on 19
+        # of the 20 desk draws, and ran past 3 s on 19 of the 20 physical ones
+        for r0, rf in unit_rows(seed, 20):
+            self.check_finished_or_stiff(r0, rf, gains, grid)
+
+    def test_seeded_stall_draws(self):
+        # the step-doubling integrator stalled past 3 s on 6 of these and exited on 1
+        for seed in range(20):
+            r0, rf = unit_rows(seed, 1)[0]
+            self.check_finished_or_stiff(r0, rf, Gains(1e10, 5e10), TimeGrid(1e-9, 400))
+
+    @staticmethod
+    def check_finished_or_stiff(r0, rf, gains, grid):
+        """The run lies on the sphere with gamma non-increasing, or it used up the step
+        budget on a target so near the equator that the loop is stiff."""
+        try:
+            run = simulate_closed_loop(r0, rf, gains, PARAMS, grid, integrator="substepped")
+        except IntegrationError as exc:
+            assert "steps and reached" in str(exc) and abs(rf[2]) < 0.01
+            return
+        eps = np.finfo(float).eps
+        assert np.abs(np.linalg.norm(run.trajectory.bloch[1:], axis=1) - 1.0).max() <= 4 * eps
+        assert np.diff(run.gamma_series).max() <= eps
 
 
 class TestValidation:
