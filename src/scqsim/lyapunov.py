@@ -159,9 +159,11 @@ def _closed_loop_steps(rf, g: Gains, p: BilinearParams):
     return steps
 
 
-#: local error allowed per adaptive step: LOOP_TOL * max(|r - rf|, LOOP_TOL_FLOOR)
+#: local error allowed per adaptive step: LOOP_TOL * max(|r - rf|, LOOP_TOL_FLOOR), and
+#: LOOP_TOL * max(|s|, SIGNAL_FLOOR) in each feedback signal s (w or u) while it grows
 LOOP_TOL = 1e-12
 LOOP_TOL_FLOOR = 1e-3
+SIGNAL_FLOOR = sys.float_info.min
 #: the adaptive loop holds its state once |r - rf| <= HOLD_DISTANCE, or once the
 #: feedback speed cannot move it by HOLD_TRAVEL over the rest of the run
 HOLD_DISTANCE = 64 * sys.float_info.epsilon
@@ -177,8 +179,12 @@ def _adaptive_loop(r, rf, g: Gains, dt, count, dense):
     written out once; the last stage, taken at the step's end, is the next
     step's first (FSAL). The local error estimate is held to LOOP_TOL *
     max(|r - rf|, LOOP_TOL_FLOOR) with the step-size rule of Hairer, Norsett &
-    Wanner, *Solving ODEs I*, II.4; every accepted state is projected back
-    onto the sphere (Hairer, Lubich & Wanner, *Geometric Numerical
+    Wanner, *Solving ODEs I*, II.4. While a feedback signal grows, the error
+    in it is also held to LOOP_TOL times the signal: dw/dt = -alpha w (xf x +
+    zf z) + beta xf u y, so w grows where xf x + zf z < 0, and u where yf y +
+    zf z < 0. A signal that starts tiny can grow by tens of e-folds, and an
+    absolute error in it grows with it. Every accepted state is projected
+    back onto the sphere (Hairer, Lubich & Wanner, *Geometric Numerical
     Integration*, IV.4). Samples lie at k dt for k = 0 .. count; a step that
     reaches the next one appends t0, h and the five coefficient rows of its
     continuous extension (II.6) to the ``array('d')`` ``dense``. The run ends
@@ -245,16 +251,19 @@ def _adaptive_loop(r, rf, g: Gains, dt, count, dense):
         w2, u2 = x2 * zf - xf * z2, yf * z2 - y2 * zf
         aw, bu = alpha * w2, beta * u2
         k7x, k7y, k7z = -aw * z2, bu * z2, aw * x2 - bu * y2
-        err = h * math.hypot(
-            71 / 57600 * k1x - 71 / 16695 * k3x + 71 / 1920 * k4x - 17253 / 339200 * k5x
-            + 22 / 525 * k6x - 1 / 40 * k7x,
-            71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y - 17253 / 339200 * k5y
-            + 22 / 525 * k6y - 1 / 40 * k7y,
-            71 / 57600 * k1z - 71 / 16695 * k3z + 71 / 1920 * k4z - 17253 / 339200 * k5z
-            + 22 / 525 * k6z - 1 / 40 * k7z)
-        tol = LOOP_TOL * max(e, LOOP_TOL_FLOOR)
-        if not err <= tol:  # a nan err is rejected too
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
+        ex = h * (71 / 57600 * k1x - 71 / 16695 * k3x + 71 / 1920 * k4x - 17253 / 339200 * k5x
+                  + 22 / 525 * k6x - 1 / 40 * k7x)
+        ey = h * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y - 17253 / 339200 * k5y
+                  + 22 / 525 * k6y - 1 / 40 * k7y)
+        ez = h * (71 / 57600 * k1z - 71 / 16695 * k3z + 71 / 1920 * k4z - 17253 / 339200 * k5z
+                  + 22 / 525 * k6z - 1 / 40 * k7z)
+        q = math.hypot(ex, ey, ez) / (LOOP_TOL * max(e, LOOP_TOL_FLOOR))
+        if zf * z + xf * x < 0.0:  # w grows
+            q = max(q, abs(zf * ex - xf * ez) / (LOOP_TOL * max(abs(w2), SIGNAL_FLOOR)))
+        if zf * z + yf * y < 0.0:  # u grows
+            q = max(q, abs(yf * ez - zf * ey) / (LOOP_TOL * max(abs(u2), SIGNAL_FLOOR)))
+        if not q <= 1.0:  # a nan q is rejected too
+            h *= max(0.2, 0.9 * q ** -0.2)
             grow = 1.0  # no growth right after a rejection
             continue
         t_new = t_end if last else t + h
@@ -281,7 +290,7 @@ def _adaptive_loop(r, rf, g: Gains, dt, count, dense):
         t, x, y, z, w, u = t_new, x2, y2, z2, w2, u2
         k1x, k1y, k1z = k7x, k7y, k7z
         e = math.hypot(x - xf, y - yf, z - zf)
-        h *= min(grow, 0.9 * (tol / err) ** 0.2) if err else grow
+        h *= min(grow, 0.9 * q ** -0.2) if q else grow
         grow = 10.0
     raise IntegrationError(f"the adaptive closed loop took {LOOP_STEP_BUDGET} steps and reached "
                            f"t = {t:.3e} s of {t_end:.3e} s; it is stiff for rf near the equator "

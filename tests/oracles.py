@@ -187,7 +187,9 @@ def naive_closed_loop(r0, rf, g, p, grid):
 def dop853_closed_loop(r0, rf, alpha, beta, times, arrived=1e-14):
     """The gain-only closed loop at ``times`` by scipy's DOP853 at rtol 1e-13.
 
-    Each sample is the end of its own integration from the sample before, not
+    atol is 1e-100, so the control is relative in every component that is not
+    smaller than that: a component near 1e-19 that grows by 13 decades (as a
+    feedback signal can) is then still right to 1e-10. Each sample is the end of its own integration from the sample before, not
     an interpolant. Integration stops once |r - rf| <= ``arrived``, and later
     times repeat that state: the loop only contracts toward rf, and an
     explicit method would otherwise spend its steps on a stiff decay that
@@ -209,7 +211,7 @@ def dop853_closed_loop(r0, rf, alpha, beta, times, arrived=1e-14):
     for t0, t1 in zip(times[:-1], times[1:]):
         r = rows[-1]
         if arrival(t0, r) > 0.0:
-            r = solve_ivp(f, (t0, t1), r, method="DOP853", rtol=1e-13, atol=1e-16,
+            r = solve_ivp(f, (t0, t1), r, method="DOP853", rtol=1e-13, atol=1e-100,
                           first_step=min(t1 - t0, 0.01 / max(alpha, beta)),
                           events=arrival).y[:, -1]
         rows.append(r)

@@ -440,6 +440,15 @@ class TestSubsteppedKernel:
     # long steps: an interpolated DOP853 reference was 5.7e-10 off here
     @example(np.array([1.0, 0.0, 0.0]), np.array([0.79993751, 0.01249902, 0.59995313]),
              1.5, 0.125, 1.0, 4)
+    # w grows from 1e-19 by 13 decades: a step error held only against |r - rf| was 2.8e-10
+    # off here, and a DOP853 reference at atol 1e-16 4.9e-10
+    @example(np.array([0.0, 0.0, 1.0]),
+             np.array([1.1329099625600371e-19, 0.7071067811865475, -0.7071067811865475]),
+             5.0, 0.125, 1.0, 2)
+    # w grows from 1e-14 to order 1 and sends the state around before it returns: both were
+    # about 1e-5 off here
+    @example(np.array([0.0, 0.0, 1.0]), np.array([1e-14, 0.7071067811865475, -0.7071067811865475]),
+             10.0, 0.1, 1.0, 200)
     def test_on_the_sphere_descending_and_near_dop853(self, r0, rf, alpha, beta, scale, steps):
         # a start near -rf or a target near the equator leaves the loop ill-conditioned or
         # stiff; both are slow for DOP853, not wrong
