@@ -12,10 +12,11 @@ working directory. For each run the script prints
 The argvs are the shipped configs; 40 seeded draws for each benchmark workload
 (free evolution, drive replay, feedback), made by this script's own generator;
 design and drive-run on three drive kinds x three transfer times; simulate on
-four kinds x four models x CSV and JSON; and the argvs of CI's entry-point
-step. Warnings are written without their source path, so two checkouts
-compare by a diff of the lines they print; the run count and the time taken
-go to stderr.
+four kinds x four models x CSV and JSON; simulate runs that cross the seams
+between the kernel's blocks of states (5,000 steps on exact2 and fock:8, and
+25,000 at fock:200); and the argvs of CI's entry-point step. Warnings are
+written without their source path, so two checkouts compare by a diff of the
+lines they print; the run count and the time taken go to stderr.
 
 Usage: python scripts/output_corpus.py > corpus.txt
 """
@@ -128,6 +129,19 @@ def simulations():
                     repr(T_FINAL[kind]), "--format", fmt, "--out", f"out.{fmt}"]
 
 
+def block_seams():
+    """Runs longer than one block of the propagation kernel (2,048 samples)."""
+    for kind in ("charge", "flux"):
+        for model in ("exact2", "fock:8"):
+            for fmt in ("csv", "json"):
+                yield f"seam/{kind}/{model}/{fmt}", [
+                    "simulate", "--qubit", kind, "--model", model, "--t-final",
+                    repr(T_FINAL[kind]), "--dt", repr(T_FINAL[kind] / 5000), "--format", fmt,
+                    "--out", f"out.{fmt}"]
+    yield "seam/flux/fock:200/csv", ["simulate", "--qubit", "flux", "--model", "fock:200",
+                                     "--t-final", "1e-10", "--dt", "4e-15", "--out", "out.csv"]
+
+
 def entry_point(inputs: Path):
     """The argvs of CI's entry-point step."""
     yield "entry/help", ["--help"]
@@ -144,6 +158,8 @@ def entry_point(inputs: Path):
                         "--params", str(inputs / "big.params")]
     yield "entry/cg", ["lyapunov", "--r0=0.6,0,0.8", "--rf=0,0,1", "--alpha", "2", "--beta",
                        "10", "--dt", "1e-3", "--steps", "10", "--params", str(inputs / "cg.params")]
+    yield "entry/fock200", ["simulate", "--qubit", "flux", "--model", "fock:200", "--t-final",
+                            "5e-12", "--dt", "1e-16"]
 
 
 def all_runs(inputs: Path):
@@ -154,6 +170,7 @@ def all_runs(inputs: Path):
         yield from workload(rng)
     yield from transfers()
     yield from simulations()
+    yield from block_seams()
     yield from entry_point(inputs)
 
 

@@ -28,12 +28,10 @@ from .hamiltonians import DRIVE_KINDS, QUBIT_KINDS, QubitParams, default_params,
 #: schema default of a key the command cannot run without
 REQUIRED = object()
 
-#: the most one run may ask for (README, "Limits"): Fock levels, time steps,
-#: and amplitudes of a simulate run's state trajectory ((steps + 1) * levels);
+#: the most one run may ask for (README, "Limits"): Fock levels and time steps;
 #: each run at these caps stays within about 0.25 GB
 MAX_FOCK_LEVELS = 200
 MAX_STEPS = 500_000
-MAX_STATE_AMPLITUDES = 5_000_000
 
 #: accepted values of each enumerated kind
 CHOICES = {
@@ -353,12 +351,9 @@ def resolve(command: str, entries, where: str, base_dir: Path = Path()) -> RunCo
             if cfg.dt == 0.0:
                 raise ConfigError(f"{locations['t_final']}: t_final = {cfg.t_final!r} is too "
                                   "short: its default dt = t_final / 2000 underflows to 0")
-        levels = cfg.n_levels or 2
-        limit = min(MAX_STEPS, MAX_STATE_AMPLITUDES // levels - 1)
-        if not cfg.t_final / cfg.dt < limit + 0.5:
+        if not cfg.t_final / cfg.dt < MAX_STEPS + 0.5:
             raise ConfigError(f"{locations.get('dt', locations['t_final'])}: t_final / dt is "
-                              f"{cfg.t_final / cfg.dt:.6g} steps; at most {limit} with "
-                              f"{levels} levels")
+                              f"{cfg.t_final / cfg.dt:.6g} steps; at most {MAX_STEPS}")
         cfg.steps = max(1, round(cfg.t_final / cfg.dt))
         if abs(cfg.steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(f"{where}: t_final = {cfg.t_final!r} is not a whole number "

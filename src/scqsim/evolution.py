@@ -6,7 +6,7 @@ the integral of f (the drive replays). Every path is unitary by construction.
 Nothing is renormalized: norm drift is still checked on every path and is
 logged, not hidden. The kernel takes the Hamiltonian as a plain matrix and
 refuses one that is not finite or not Hermitian. Every sampling grid starts
-at t = 0.
+at t = 0. The kernel forms states in blocks of BLOCK_ROWS samples and keeps none.
 """
 
 import logging
@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 DRIFT_ABORT = 1e-4
 #: drift level above which a run is logged as degraded
 DRIFT_WARN = 1e-8
+#: samples whose states the propagation kernel forms at once
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class TimeGrid:
 
 @dataclass
 class BlochTrajectory:
-    """Time-stamped Bloch vectors plus optional state history.
+    """Time-stamped Bloch vectors, <sigma> expectations, norms and leakage.
 
     For states with more than two levels the Bloch vector is the qubit
     subspace {|0>, |1>} projection, renormalized; ``leakage`` is the
@@ -55,7 +57,6 @@ class BlochTrajectory:
 
     times: np.ndarray
     bloch: np.ndarray
-    states: Optional[np.ndarray] = None
     expectations: Dict[str, np.ndarray] = field(default_factory=dict)
     leakage: Optional[np.ndarray] = None
     norms: Optional[np.ndarray] = None
@@ -72,19 +73,6 @@ class BlochTrajectory:
         return self.bloch[-1]
 
 
-def _readout(times, p0, p1, coherence, total, norms, dim, states) -> BlochTrajectory:
-    """Trajectory of a dim-level history from the populations p0, p1 of |0>, |1>,
-    their coherence conj(a0) a1 = rho_10 and the total population, per sample."""
-    sx = 2 * coherence.real / total
-    sy = 2 * coherence.imag / total
-    sz = (p0 - p1) / total
-    captured = (p0 + p1) / total
-    bloch = np.column_stack([sx, sy, sz]) / captured[:, None]
-    return BlochTrajectory(times, bloch, expectations={"sx": sx, "sy": sy, "sz": sz},
-                           leakage=1.0 - captured if dim > 2 else None, norms=norms,
-                           states=states)
-
-
 def _check_drift(drift: float, what: str):
     if not drift <= DRIFT_ABORT:  # NaN too
         raise IntegrationError(f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT})")
@@ -92,20 +80,10 @@ def _check_drift(drift: float, what: str):
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
 
 
-def _state_trajectory(times: np.ndarray, states: np.ndarray,
-                      psi0: np.ndarray) -> BlochTrajectory:
-    """Readout of a state history, with its norm drift against ||psi0|| checked."""
-    norms = np.linalg.norm(states, axis=1)
-    _check_drift(float(np.abs(norms - np.linalg.norm(psi0)).max()), "state norm")
-    a, b = states[:, 0], states[:, 1]
-    return _readout(times, np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, norms**2, norms,
-                    states.shape[1], states=states)
-
-
-def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
-                     elapsed: np.ndarray) -> BlochTrajectory:
-    """States exp(-i matrix elapsed_k / hbar) psi0; ``elapsed`` is the accumulated
-    time per sample (t for a static generator, the integral of f from 0 for matrix * f(t))."""
+def _state_blocks(matrix: np.ndarray, psi0, elapsed: np.ndarray):
+    """States exp(-i matrix elapsed_k / hbar) psi0, BLOCK_ROWS samples per yielded block;
+    ``elapsed`` is the accumulated time per sample (t for a static generator, the
+    integral of f from 0 for matrix * f(t))."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if matrix.shape != (psi0.size, psi0.size):
         raise DimensionMismatchError(
@@ -115,9 +93,35 @@ def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
     if np.abs(matrix - matrix.conj().T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
         raise DomainError("Hamiltonian matrix must be Hermitian")
     w, v = np.linalg.eigh(matrix)
-    phases = np.exp(-1j * np.outer(elapsed, w) / HBAR)
-    states = (phases * (v.conj().T @ psi0)) @ v.T
-    return _state_trajectory(times, states, psi0)
+    coefficients = v.conj().T @ psi0
+    for start in range(0, len(elapsed), BLOCK_ROWS):
+        phases = np.exp(-1j * np.outer(elapsed[start:start + BLOCK_ROWS], w) / HBAR)
+        phases *= coefficients
+        yield phases @ v.T
+
+
+def _propagate_eigen(matrix: np.ndarray, psi0, times: np.ndarray,
+                     elapsed: np.ndarray) -> BlochTrajectory:
+    """Trajectory of the states of ``_state_blocks``, with their norm drift against
+    ||psi0|| checked. Each state is read for its amplitudes a0, a1 of |0>, |1> and
+    its norm: the populations p0, p1, their coherence conj(a0) a1 = rho_10 and the
+    total population give the readout."""
+    a0, a1 = np.empty((2, len(elapsed)), dtype=complex)
+    norms = np.empty(len(elapsed))
+    for start, block in zip(range(0, len(elapsed), BLOCK_ROWS),
+                            _state_blocks(matrix, psi0, elapsed)):
+        rows = slice(start, start + len(block))
+        a0[rows], a1[rows] = block[:, 0], block[:, 1]
+        norms[rows] = np.linalg.norm(block, axis=1)
+    _check_drift(float(np.abs(norms - np.linalg.norm(psi0)).max()), "state norm")
+    p0, p1, coherence, total = np.abs(a0) ** 2, np.abs(a1) ** 2, np.conj(a0) * a1, norms**2
+    sx = 2 * coherence.real / total
+    sy = 2 * coherence.imag / total
+    sz = (p0 - p1) / total
+    captured = (p0 + p1) / total
+    bloch = np.column_stack([sx, sy, sz]) / captured[:, None]
+    return BlochTrajectory(times, bloch, expectations={"sx": sx, "sy": sy, "sz": sz},
+                           leakage=1.0 - captured if len(matrix) > 2 else None, norms=norms)
 
 
 def propagate_static(H: np.ndarray, psi0, grid: TimeGrid) -> BlochTrajectory:

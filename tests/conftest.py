@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from scqsim.evolution import _state_blocks
+
 settings.register_profile(
     "fast",
     max_examples=40,
@@ -46,6 +48,12 @@ def unit_state(*amplitudes) -> np.ndarray:
     """The state with these amplitudes, divided by its norm."""
     psi = np.array(amplitudes, dtype=complex)
     return psi / np.linalg.norm(psi)
+
+
+def kernel_states(matrix, psi0, elapsed) -> np.ndarray:
+    """The states exp(-i matrix elapsed_k / hbar) psi0 of the eigen kernel, its blocks
+    joined; a trajectory keeps none of them."""
+    return np.concatenate(list(_state_blocks(matrix, psi0, np.asarray(elapsed, dtype=float))))
 
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

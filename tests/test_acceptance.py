@@ -141,10 +141,15 @@ def test_07_axis_discrepancy():
         assert np.trace(SIGMA_Z @ H_ex) == 0
         axis = lambda H: np.array([np.trace(H @ P).real / 2  # noqa: E731
                                    for P in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-        a = axis(H_app)
-        b = axis(H_ex)
-        cos_angle = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert math.degrees(math.acos(min(cos_angle, 1.0))) > 45.0
+        # the angle between the two rotation axes as lines, at the default parameters
+        for kind, degrees in (("charge", 90.0), ("flux", 65.17)):
+            params = default_params(kind)
+            a = axis(build_approximate(params))
+            b = axis(build_exact_two_level(params))
+            cos_angle = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            angle = math.degrees(math.acos(min(cos_angle, 1.0)))
+            assert angle > 45.0
+            assert angle == pytest.approx(degrees, abs=0.005)
 
 
 def test_08_lyapunov_descent_and_convergence():
@@ -189,7 +194,7 @@ def test_10_numerical_hygiene():
         static = propagate_static(H, psi0, grid)
         assert np.abs(static.norms - 1.0).max() < 1e-10
         cf4 = cf4_states(lambda t: H, psi0, grid.times)
-        assert np.abs(static.states - cf4).max() < 1e-8
+        assert np.abs(static.bloch - [bloch_from_state(psi) for psi in cf4]).max() < 1e-8
         # an exact propagator: half the step lands on the same final state
         halved = propagate_static(H, psi0, TimeGrid(1.25e-15, 4000))
         assert np.abs(halved.bloch[-1] - static.bloch[-1]).max() < 1e-9

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +22,6 @@ from scqsim.config import (
     COMMAND_KEYS,
     COMMANDS,
     MAX_FOCK_LEVELS,
-    MAX_STATE_AMPLITUDES,
     MAX_STEPS,
     parse_bloch_spec,
     parse_config,
@@ -767,11 +767,11 @@ class TestLimits:
         ("drive-run", {"steps": str(MAX_STEPS + 1)}, "steps", f"steps must be at most {MAX_STEPS}"),
         ("lyapunov", {"steps": str(MAX_STEPS + 1)}, "steps", f"steps must be at most {MAX_STEPS}"),
         ("simulate", {"t_final": "1e-6", "dt": repr(1e-6 / (MAX_STEPS + 1))}, "dt",
-         f"at most {MAX_STEPS} with 2 levels"),
+         f"at most {MAX_STEPS}"),
         ("simulate", {"t_final": "1e300", "dt": "1e-300"}, "dt", "t_final / dt is inf steps"),
+        # the step cap does not depend on the level count
         ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
-                      "dt": repr(1e-6 / (MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS))}, "dt",
-         f"at most {MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS - 1} with {MAX_FOCK_LEVELS} levels"),
+                      "dt": repr(1e-6 / (MAX_STEPS + 1))}, "dt", f"at most {MAX_STEPS}"),
     ]
 
     @pytest.mark.parametrize("command, extra, key, message", CASES)
@@ -792,19 +792,35 @@ class TestLimits:
         ("lyapunov", {"steps": str(MAX_STEPS)}),
         ("simulate", {"t_final": "1e-6", "dt": repr(1e-6 / MAX_STEPS)}),
         ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
-                      "dt": repr(1e-6 / (MAX_STATE_AMPLITUDES // MAX_FOCK_LEVELS - 1))}),
+                      "dt": repr(1e-6 / MAX_STEPS)}),
         # the largest benchmark cases
         ("simulate", {"model": "fock:40", "t_final": "1e-10"}),
         ("lyapunov", {"dt": "1e-3", "steps": "20000"}),
         ("drive-run", {"steps": "20000"}),
+        # the step cap holds at every level count
+        ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
+                      "dt": repr(1e-6 / 25_000)}),
     ])
     def test_at_a_cap_accepted(self, command, options, tmp_path):
         cfg = parse_config(write(tmp_path, "run.cfg",
                                  config_text(command, dict(VALID[command], **options))))
-        rows = cfg.steps + 1
-        assert rows <= MAX_STEPS + 1
-        if cfg.n_levels:
-            assert cfg.n_levels <= MAX_FOCK_LEVELS and rows * cfg.n_levels <= MAX_STATE_AMPLITUDES
+        assert cfg.steps <= MAX_STEPS
+        assert (cfg.n_levels or 2) <= MAX_FOCK_LEVELS
+
+    def test_long_fock_run_in_bounded_memory(self, tmp_path):
+        # a run keeps no state history: 25,001 samples at fock:200 trace under 64 MiB,
+        # where the history alone would take 76 MiB
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--qubit", "flux", "--model", f"fock:{MAX_FOCK_LEVELS}",
+                         "--t-final", "1e-10", "--dt", "4e-15", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20
+        assert len(out.read_text().splitlines()) == 25_002
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # state spec normalization
     def test_shipped_configs_within_the_caps(self):

@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pure_states, unit_bloch_vectors
+from conftest import kernel_states, pure_states, unit_bloch_vectors
 from oracles import scaled_taylor_expm, taylor_expm
 
 from scqsim.constants import HBAR
 from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state, scaled_norm
 from scqsim.errors import DimensionMismatchError, DomainError, InvalidStateError, NumericError
-from scqsim.evolution import _propagate_eigen
+from scqsim.evolution import _propagate_eigen, _state_blocks
 
 
 def kernel_accepts(H) -> bool:
     """Whether the eigen kernel propagates under H; it refuses a non-Hermitian one."""
     try:
-        _propagate_eigen(H, np.eye(len(H), dtype=complex)[0], np.zeros(1), np.zeros(1))
+        next(_state_blocks(H, np.eye(len(H), dtype=complex)[0], np.zeros(1)))
     except DomainError:
         return False
     return True
@@ -23,10 +23,9 @@ def kernel_accepts(H) -> bool:
 
 def kernel_propagator(H, theta) -> np.ndarray:
     """exp(-i theta H) as the eigen kernel forms it at elapsed time hbar theta, by
-    linearity from the states e_0 and e_0 + e_j, which keep a population in the qubit
-    pair for the readout."""
+    linearity from the states e_0 and e_0 + e_j."""
     def propagate(psi):
-        return _propagate_eigen(H, psi, np.zeros(1), np.array([HBAR * theta])).states[0]
+        return kernel_states(H, psi, [HBAR * theta])[0]
 
     basis = np.eye(len(H), dtype=complex)
     first = propagate(basis[0])

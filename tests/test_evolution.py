@@ -5,24 +5,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import unit_bloch_vectors, unit_state
-from oracles import cf4_states, naive_trajectory_csv, rodrigues
+from conftest import kernel_states, pure_states, unit_bloch_vectors, unit_state
+from oracles import cf4_states, naive_trajectory_csv, pauli_coefficients, rodrigues
 
 from scqsim.constants import HBAR
-from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
 from scqsim.errors import DimensionMismatchError, DomainError, IntegrationError
 from scqsim.evolution import (
+    BLOCK_ROWS,
     DRIFT_WARN,
     BlochTrajectory,
     TimeGrid,
     _check_drift,
+    _state_blocks,
     propagate_static,
 )
 from scqsim.export import write_trajectory_csv
 from scqsim.hamiltonians import (
+    DRIVE_KINDS,
+    QUBIT_KINDS,
     QubitParams,
     build_approximate,
     build_exact_two_level,
@@ -80,16 +85,15 @@ class TestPropagateStatic:
         H = build_approximate(default_params("charge"))
         psi0 = unit_state(2, -1j)
         grid = TimeGrid(5e-14, 20)
-        traj = propagate_static(H, psi0, grid)
-        for t, psi in zip(grid.times, traj.states):
+        for t, psi in zip(grid.times, kernel_states(H, psi0, grid.times)):
             U = expm(-1j * H * t / HBAR)
             assert np.abs(psi - U @ psi0).max() < 1e-12
 
     def test_energy_conserved(self):
         H = build_approximate(default_params("charge"))
         psi0 = unit_state(2, -1j)  # nonzero mean energy
-        traj = propagate_static(H, psi0, TimeGrid(2.5e-15, 500))
-        energy = np.einsum("ki,ij,kj->k", traj.states.conj(), H, traj.states).real
+        states = kernel_states(H, psi0, TimeGrid(2.5e-15, 500).times)
+        energy = np.einsum("ki,ij,kj->k", states.conj(), H, states).real
         assert (energy.max() - energy.min()) < 1e-9 * np.abs(energy).max()
 
     def test_dimension_mismatch(self):
@@ -112,6 +116,70 @@ class TestPropagateStatic:
         assert np.abs(traj.bloch - expected).max() < 1e-9
 
 
+class TestStateBlocks:
+    def test_rows_across_a_block_seam(self):
+        # 2 BLOCK_ROWS + 1 samples: two full blocks and one of a single row; every row
+        # matches its own one-step propagation at the same time
+        H = build_fock(default_params("charge"), 8)
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[:2] = unit_state(0.6, 0.8j)
+        grid = TimeGrid(1e-15, 2 * BLOCK_ROWS)
+        assert [len(b) for b in _state_blocks(H, psi0, grid.times)] == [BLOCK_ROWS, BLOCK_ROWS, 1]
+        traj = propagate_static(H, psi0, grid)
+        for k in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS):
+            one = propagate_static(H, psi0, TimeGrid(grid.times[k], 1))
+            assert one.times[-1] == traj.times[k]
+            assert np.abs(one.bloch[-1] - traj.bloch[k]).max() < 1e-12
+            for key in ("sx", "sy", "sz"):
+                assert abs(one.expectations[key][-1] - traj.expectations[key][k]) < 1e-12
+            assert abs(one.norms[-1] - traj.norms[k]) < 1e-12
+            assert abs(one.leakage[-1] - traj.leakage[k]) < 1e-12
+
+
+#: log10 of the factor each drawn energy takes on its default value
+energy_scales = st.floats(min_value=-1.0, max_value=1.0)
+
+
+class TestFreeEvolutionProperties:
+    """Free evolution on drawn circuits against the closed forms of each model."""
+
+    @given(kind=st.sampled_from(QUBIT_KINDS), scales=st.tuples(*[energy_scales] * 3),
+           psi0=pure_states(), steps=st.integers(min_value=1, max_value=200),
+           log_dt=st.floats(min_value=-16.0, max_value=-10.0))
+    def test_exact2_without_drive_is_frozen(self, kind, scales, psi0, steps, log_dt):
+        p = default_params(kind)
+        p = replace(p, E_c=p.E_c * 10**scales[0], E_J=p.E_J * 10**scales[1],
+                    E_L=p.E_L * 10**scales[2], n_g=0.0, I_g=0.0, phi_e=0.0)
+        traj = propagate_static(build_exact_two_level(p), psi0, TimeGrid(10**log_dt, steps))
+        assert np.all(traj.bloch == traj.bloch[0])
+        assert np.abs(traj.bloch[0] - bloch_from_state(psi0)).max() < 1e-15
+
+    @pytest.mark.filterwarnings("ignore:charge-qubit two-level reduction")
+    @given(kind=st.sampled_from(DRIVE_KINDS), scales=st.tuples(*[energy_scales] * 3),
+           drive=st.floats(min_value=-1.0, max_value=1.0), psi0=pure_states(),
+           steps=st.integers(min_value=1, max_value=100),
+           angle=st.floats(min_value=0.1, max_value=50.0))
+    def test_approx_is_a_rotation_about_its_field(self, kind, scales, drive, psi0, steps,
+                                                  angle):
+        # H = hx sigma_x + hz sigma_z turns the Bloch vector about (hx, 0, hz) / |h|
+        # at 2 |h| / hbar
+        p = default_params(kind)
+        fields = {"charge": {"n_g": drive}, "phase": {"I_g": 2e-3 * drive},
+                  "flux": {"phi_e": drive}}
+        p = replace(p, E_c=p.E_c * 10**scales[0], E_J=p.E_J * 10**scales[1],
+                    E_L=p.E_L * 10**scales[2], **fields[kind])
+        H = build_approximate(p)
+        h = pauli_coefficients(H)
+        assert h[1] == 0.0
+        rate = 2 * np.linalg.norm(h) / HBAR
+        grid = TimeGrid(angle / rate / steps, steps)
+        traj = propagate_static(H, psi0, grid)
+        r0 = bloch_from_state(psi0)
+        expected = np.array([rodrigues(h / np.linalg.norm(h), rate * t) @ r0
+                             for t in grid.times])
+        assert np.abs(traj.bloch - expected).max() < 1e-9
+
+
 class TestCf4Oracle:
     def test_constant_matches_static(self):
         # a constant H: CF4 is exact and agrees with the eigendecomposition kernel
@@ -119,7 +187,7 @@ class TestCf4Oracle:
         psi0 = unit_state(1, 1j)
         grid = TimeGrid(6.25e-16, 200)
         states = cf4_states(lambda t: H, psi0, grid.times)
-        assert np.abs(states - propagate_static(H, psi0, grid).states).max() < 1e-10
+        assert np.abs(states - kernel_states(H, psi0, grid.times)).max() < 1e-10
 
     def test_cf4_fourth_order_on_a_non_commuting_drive(self):
         # H(t) does not commute with itself at other times; h ||H|| / hbar about 1
@@ -169,7 +237,7 @@ def test_three_methods_agree():
     H = build_approximate(default_params("charge"))
     psi0 = unit_state(2, -1j)
     grid = TimeGrid(2.5e-15, 400)
-    a = propagate_static(H, psi0, grid).states
+    a = kernel_states(H, psi0, grid.times)
     b = cf4_states(lambda t: H, psi0, grid.times)
     c = np.array([expm(-1j * H * t / HBAR) @ psi0
                   for t in grid.times])
@@ -181,8 +249,10 @@ class TestReadout:
     """The Bloch vector, <sigma> and leakage columns read from a state history."""
 
     def test_sigma_x_equals_bloch_x(self):
-        traj = propagate_static(rabi_hamiltonian(), unit_state(1, 1j), TimeGrid(1e-13, 300))
-        direct = np.einsum("ki,ij,kj->k", traj.states.conj(), SIGMA_X, traj.states).real
+        psi0, grid = unit_state(1, 1j), TimeGrid(1e-13, 300)
+        traj = propagate_static(rabi_hamiltonian(), psi0, grid)
+        states = kernel_states(rabi_hamiltonian(), psi0, grid.times)
+        direct = np.einsum("ki,ij,kj->k", states.conj(), SIGMA_X, states).real
         assert np.abs(traj.expectations["sx"] - direct).max() < 1e-12
         assert np.abs(traj.expectations["sx"] - traj.bloch[:, 0]).max() < 1e-15
 
@@ -195,14 +265,15 @@ class TestReadout:
     def test_two_level_run_has_no_leakage(self):
         traj = propagate_static(rabi_hamiltonian(), PSI0, TimeGrid(1e-13, 50))
         assert traj.leakage is None
-        assert traj.states.shape == (51, 2)
+        assert traj.norms.shape == (51,)
 
     def test_fock_bloch_is_the_renormalized_qubit_projection(self):
         H = build_fock(default_params("charge"), 8)
         psi0 = np.zeros(8, dtype=complex)
         psi0[:2] = unit_state(0.6, 0.8j)
-        traj = propagate_static(H, psi0, TimeGrid(1e-14, 100))
-        captured = (np.abs(traj.states[:, :2]) ** 2).sum(axis=1)
+        grid = TimeGrid(1e-14, 100)
+        traj = propagate_static(H, psi0, grid)
+        captured = (np.abs(kernel_states(H, psi0, grid.times)[:, :2]) ** 2).sum(axis=1)
         assert np.abs(traj.leakage - (1.0 - captured)).max() < 1e-12
         sigma = np.column_stack([traj.expectations[k] for k in ("sx", "sy", "sz")])
         assert np.abs(traj.bloch * captured[:, None] - sigma).max() < 1e-12
