@@ -149,9 +149,15 @@ def entry_point(inputs: Path):
     for i, args in enumerate((["--t-final", "inf"], ["--t-final=--"],
                               ["--t-final", "1e-13", "--t-final", "2e-13"],
                               ["--model", "approx", "--t-final", "1e-13"],
-                              ["--t-final", "5e-324"])):
+                              ["--t-final", "5e-324"],
+                              ["--model", "fock:3", "--t-final", "1e-13"])):
         kind = "lcjj" if "approx" in args else "charge"
         yield f"entry/refused/{i}", ["simulate", "--qubit", kind, *args]
+    for i, args in enumerate((["--alpha", "2", "--dt", "1e-3", "--integrator", "rk45"],
+                              ["--alpha", "0", "--dt", "1e-3"],
+                              ["--alpha", "2", "--dt", "1e308", "--steps", "2"])):
+        yield f"entry/refused-lyapunov/{i}", ["lyapunov", "--r0=0.6,0,0.8", "--rf=0,0,1",
+                                              "--beta", "10", *args]
     yield "entry/cg0", ["design", "--qubit", "charge", "--psi0=1,0;0,0", "--psif=0.6,0;0,0.8",
                         "--tf", "1e-12", "--params", str(inputs / "cg0.params")]
     yield "entry/big", ["simulate", "--qubit", "phase", "--t-final", "1e-12",

@@ -358,6 +358,9 @@ def resolve(command: str, entries, where: str, base_dir: Path = Path()) -> RunCo
         if abs(cfg.steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(f"{where}: t_final = {cfg.t_final!r} is not a whole number "
                               f"of dt = {cfg.dt!r} samples")
+    if command == "lyapunov" and not math.isfinite(cfg.dt * cfg.steps):
+        raise ConfigError(f"{locations['dt']}: the horizon dt * steps = {cfg.dt!r} * {cfg.steps} "
+                          "overflows; it must be finite")
     kind = cfg.qubit if cfg.qubit is not None else "lcjj"
     if params_file is None:
         cfg.params = default_params(kind)

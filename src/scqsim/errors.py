@@ -5,10 +5,6 @@ class SimulationError(Exception):
     """Base class for all scqsim errors."""
 
 
-class InvalidStateError(SimulationError):
-    """State vector is not normalized or has a bad shape."""
-
-
 class DimensionMismatchError(SimulationError):
     """Operands have incompatible shapes."""
 
@@ -19,10 +15,6 @@ class NumericError(SimulationError):
 
 class DomainError(SimulationError):
     """Parameter outside its physical domain."""
-
-
-class TruncationError(SimulationError):
-    """Fock-space truncation too small."""
 
 
 class DegenerateBisectorError(SimulationError):

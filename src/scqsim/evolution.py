@@ -30,16 +30,11 @@ BLOCK_ROWS = 2048
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: samples at k dt for k = 0 .. steps."""
+    """Uniform sampling grid: samples at k dt for k = 0 .. steps. ``config.resolve``
+    checks what the commands pass: dt > 0, steps >= 1 and a finite dt * steps."""
 
     dt: float
     steps: int
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise DomainError("dt must be positive")
-        if self.steps < 1:
-            raise DomainError("need at least one step")
 
     @property
     def times(self) -> np.ndarray:

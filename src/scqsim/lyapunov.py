@@ -70,14 +70,10 @@ class BilinearParams:
 
 @dataclass(frozen=True)
 class Gains:
-    """Feedback gains; both strictly positive."""
+    """Feedback gains; both strictly positive and finite, as ``config.resolve`` checks."""
 
     alpha: float
     beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise DomainError("feedback gains must be positive")
 
 
 @dataclass
@@ -339,15 +335,12 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     IntegrationError when the Bloch norm leaves [NORM_FLOOR, NORM_CEILING],
     naming the first such sample. A substepped run's rows lie on the sphere;
     every row after the state is held repeats one row bit for bit.
+
+    ``config.resolve`` checks the inputs the command passes: r0 and rf are unit
+    vectors, ``integrator`` is one of the two names and the grid is as TimeGrid says.
     """
     r0 = np.asarray(r0, dtype=float)
     rf = np.asarray(rf, dtype=float)
-    for name, r in (("r0", r0), ("rf", rf)):
-        if abs(np.linalg.norm(r) - 1.0) > 1e-6:
-            raise DomainError(f"{name} must be a unit Bloch vector")
-    if integrator not in ("fixed_rk4", "substepped"):
-        raise DomainError(f"unknown integrator {integrator!r}")
-
     n, r, times = grid.steps + 1, tuple(r0.tolist()), grid.times
     if integrator == "fixed_rk4":
         flat = array("d", r)  # rows packed as doubles; no per-row tuple is kept

@@ -4,6 +4,7 @@ Each test prints a single `[acceptance] ... PASS/FAIL` line so the suite can
 be read as a checklist (run with `pytest tests/test_acceptance.py -v -s`).
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -65,8 +66,8 @@ def test_01_charge_drive_design_reproduction():
 def test_02_carrier_frequencies():
     with criterion(2, "phase/flux carrier frequencies"):
         start = time.perf_counter()
-        phase = carrier_frequency("phase", default_params("phase"))
-        flux = carrier_frequency("flux", default_params("flux"))
+        phase = carrier_frequency(default_params("phase"))
+        flux = carrier_frequency(default_params("flux"))
         assert time.perf_counter() - start < 1.0
         assert phase == pytest.approx(309697312116, rel=1e-3)
         assert flux == pytest.approx(408312678393, rel=1e-3)
@@ -236,3 +237,21 @@ def test_11_phase_trajectory_same_expectations_differ(tmp_path, monkeypatch):
         orbit_gap = np.hypot(along - c, across - math.sqrt(1.0 - c * c))
         assert orbit_gap.max() < 1e-6  # 2.5e-7
         assert np.linalg.norm(rows["approx"] - rows["exact"], axis=1).max() >= 5e-3  # 8.7e-3
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the config's states are normalized
+def test_12_flux_replay_endpoint_close_trajectory_apart(tmp_path, monkeypatch):
+    # the abstract: the same drive on the exact model follows a different trajectory.
+    # On the shipped flux replay the endpoints nearly agree, so only the path shows it.
+    # Each CSV is in the frame it is written in: rotating for approx, lab for exact.
+    with criterion(12, "flux replay: endpoint fidelity close, trajectory apart"):
+        monkeypatch.chdir(tmp_path)
+        config = CONFIGS / "flux_drive_replay.cfg"
+        assert main(["--config", str(config)]) == 0
+        out = Path(parse_config(config).out)
+        gap = json.loads(out.read_text())["fidelity_gap"]
+        rows = [np.loadtxt(out.with_suffix("").as_posix() + suffix, delimiter=",",
+                           skiprows=1)[:, 1:4] for suffix in ("_approx.csv", "_exact.csv")]
+        distance = np.linalg.norm(rows[0] - rows[1], axis=1)
+        assert 0 < gap < 1e-3  # 8.9e-4
+        assert distance.mean() > 0.5  # 0.619; max 0.974

@@ -456,6 +456,15 @@ class TestCliDriveRun:
         summary = json.loads(out.read_text())
         assert summary["approximate_rotating"]["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tf", ["5e-324", "1e-320"])
+    def test_subnormal_transfer_time_rejected(self, tf, tmp_path, capsys):
+        # pi / tf overflows before tf / steps, the replay grid's dt, can underflow
+        assert main(cli_args("drive-run", dict(VALID["drive-run"], tf=tf,
+                                               out=str(tmp_path / "out.json")))) == 2
+        assert capsys.readouterr().err == ("scqsim: configuration error: drive plan has "
+                                           "non-finite entries\n")
+        assert not (tmp_path / "out.json").exists()
+
     def test_substeps_validated_but_inert(self, tmp_path):
         args = ["drive-run", "--qubit", "charge", "--psi0", "1,0;1,0",
                 "--psif", "1,0;0,1", "--tf", "1e-12", "--steps", "50"]
@@ -636,6 +645,56 @@ class TestOneFrontEnd:
         assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    #: (command, key, value, message): values the library takes on trust
+    OUT_OF_DOMAIN = [
+        ("simulate", "qubit", "transmon", "qubit must be charge or phase or flux or lcjj"),
+        ("drive-run", "steps", "0", "steps must be a positive integer"),
+        ("lyapunov", "dt", "0", "dt must be a positive finite number"),
+        ("lyapunov", "alpha", "0", "alpha must be a positive finite number"),
+        ("lyapunov", "beta", "-2", "beta must be a positive finite number"),
+        ("lyapunov", "integrator", "rk45", "integrator must be fixed_rk4 or substepped"),
+    ]
+
+    @pytest.mark.parametrize("command, key, value, message", OUT_OF_DOMAIN)
+    def test_out_of_domain_value_rejected_by_both(self, command, key, value, message, tmp_path,
+                                                  capsys):
+        # argparse refuses a value outside a key's choices before config.resolve sees it
+        options = dict(VALID[command], **{key: value}, out=str(tmp_path / "out"))
+        try:
+            code = main(cli_args(command, options))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert f"--{key}" in capsys.readouterr().err
+        cfg = write(tmp_path, "run.cfg", config_text(command, options))
+        line = 2 + list(options).index(key)
+        assert main(["--config", str(cfg)]) == 2
+        assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, unit, doubled", [
+        ("design", "psif", "0.6,0;0,0.8", "1.2,0;0,1.6"),
+        ("lyapunov", "r0", "0.6,0,0.8", "1.2,0,1.6"),
+        ("lyapunov", "rf", "0,0,1", "0,0,2"),
+    ])
+    def test_vector_off_the_unit_sphere_runs_as_its_unit_vector(self, command, key, unit,
+                                                                doubled, tmp_path):
+        # the library takes states and Bloch vectors as unit vectors: twice a unit
+        # vector normalizes to its bits, with one warning per front end
+        outputs = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for value in (unit, doubled):
+                options = dict(VALID[command], **{key: value}, out=str(tmp_path / "cli.out"))
+                assert main(cli_args(command, options)) == 0
+                options["out"] = str(tmp_path / "cfg.out")
+                assert main(["--config", str(write(tmp_path, "run.cfg",
+                                                   config_text(command, options)))]) == 0
+                outputs += [(tmp_path / name).read_bytes() for name in ("cli.out", "cfg.out")]
+        assert len(set(outputs)) == 1
+        assert [str(w.message).endswith("norm 2 differs from 1; normalizing")
+                for w in caught] == [True, True]
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_out_rejected_by_both(self, command, tmp_path, capsys):
         # it passed the schema and failed at open() with exit 4
@@ -772,6 +831,9 @@ class TestLimits:
         # the step cap does not depend on the level count
         ("simulate", {"model": f"fock:{MAX_FOCK_LEVELS}", "t_final": "1e-6",
                       "dt": repr(1e-6 / (MAX_STEPS + 1))}, "dt", f"at most {MAX_STEPS}"),
+        # a horizon that overflows, refused before a sample is taken
+        ("lyapunov", {"dt": "1e308", "steps": "2"}, "dt",
+         "the horizon dt * steps = 1e+308 * 2 overflows"),
     ]
 
     @pytest.mark.parametrize("command, extra, key, message", CASES)

@@ -8,7 +8,7 @@ from oracles import scaled_taylor_expm, taylor_expm
 
 from scqsim.constants import HBAR
 from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state, scaled_norm
-from scqsim.errors import DimensionMismatchError, DomainError, InvalidStateError, NumericError
+from scqsim.errors import DimensionMismatchError, DomainError, NumericError
 from scqsim.evolution import _propagate_eigen, _state_blocks
 
 
@@ -48,10 +48,6 @@ class TestBlochFromState:
         # direct formula gives x = -6/11, not the +0.545 sometimes quoted
         psi = np.array([-2, 3 - 3j]) / np.sqrt(22)
         assert np.allclose(bloch_from_state(psi), [-6 / 11, 6 / 11, -7 / 11], atol=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidStateError):
-            bloch_from_state(np.array([2.0, -1j]))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):

@@ -9,7 +9,7 @@ from oracles import pauli_coefficients, taylor_cos
 
 from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z
-from scqsim.errors import DomainError, TruncationError
+from scqsim.errors import DomainError
 from scqsim import hamiltonians
 from scqsim.evolution import TimeGrid, propagate_static
 from scqsim.hamiltonians import (
@@ -77,10 +77,6 @@ class TestQubitParams:
     def test_rejects_negative_energy(self):
         with pytest.raises(DomainError):
             QubitParams("charge", E_c=-1e-23, E_J=1e-24)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            QubitParams("transmon", E_c=1e-23, E_J=1e-24)
 
 
 class TestApproximate:
@@ -280,10 +276,6 @@ class TestFock:
         vals, vecs = np.linalg.eigh(H)
         ground = np.abs(vals - vals[0]) < 1e-6 * np.abs(vals).max()
         assert (np.abs(vecs[0, ground]) ** 2).sum() > 0.8
-
-    def test_truncation_floor(self):
-        with pytest.raises(TruncationError):
-            build_fock(default_params("charge"), 3)
 
     def test_convergence_in_deep_josephson_well(self):
         # single-well regime: the basis must not yet resolve the neighboring
