@@ -14,7 +14,9 @@ The argvs are the shipped configs; 40 seeded draws for each benchmark workload
 design and drive-run on three drive kinds x three transfer times; simulate on
 four kinds x four models x CSV and JSON; simulate runs that cross the seams
 between the kernel's blocks of states (5,000 steps on exact2 and fock:8, and
-25,000 at fock:200); and the argvs of CI's entry-point step. Warnings are
+25,000 at fock:200); 10 seeded substepped lyapunov runs at desk gains toward
+off-axis targets, which move over many samples, and lyapunov JSON from both
+integrators; and the argvs of CI's entry-point step. Warnings are
 written without their source path, so two checkouts compare by a diff of the
 lines they print; the run count and the time taken go to stderr.
 
@@ -110,6 +112,22 @@ def feedback(rng):
         yield f"feedback/{i:02d}", ["lyapunov", f"--r0={r0}", *options, "--out", "out.csv"]
 
 
+def moving_feedback(rng):
+    """Substepped runs that move over many samples, so their rows come from the adaptive
+    loop's continuous extension, and JSON output from both integrators."""
+    for i in range(10):
+        dt = log_uniform(rng, 0.02, 0.1)
+        yield f"feedback-moving/{i:02d}", [
+            "lyapunov", f"--r0={bloch_spec(rng)}", f"--rf={bloch_spec(rng)}", "--alpha", "2.0",
+            "--beta", "10.0", "--dt", repr(dt), "--steps", str(round(20.0 / dt)),
+            "--integrator", "substepped", "--out", "out.csv"]
+    for integrator in ("fixed_rk4", "substepped"):
+        yield f"lyapunov-json/{integrator}", [
+            "lyapunov", "--r0=0.6,0,0.8", "--rf=0.6,-0.48,0.64", "--alpha", "2", "--beta", "10",
+            "--dt", "0.05", "--steps", "400", "--integrator", integrator, "--format", "json",
+            "--out", "out.json"]
+
+
 def transfers():
     for command in ("design", "drive-run"):
         for kind in DRIVE_KINDS:
@@ -166,6 +184,11 @@ def entry_point(inputs: Path):
                        "10", "--dt", "1e-3", "--steps", "10", "--params", str(inputs / "cg.params")]
     yield "entry/fock200", ["simulate", "--qubit", "flux", "--model", "fock:200", "--t-final",
                             "5e-12", "--dt", "1e-16"]
+    yield "entry/refused-enum/0", ["simulate", "--qubit", "transmon", "--t-final", "1e-13"]
+    yield "entry/refused-enum/1", ["design", "--qubit", "charge", "--psi0=1,0;0,0",
+                                   "--psif=0.6,0;0,0.8", "--tf", "1e-12", "--format", "csv"]
+    yield "entry/replay-overflow", ["drive-run", "--qubit", "charge", "--psi0=1,0;0,0",
+                                    "--psif=0.6,0;0,0.8", "--tf", "1e300", "--steps", "3"]
 
 
 def all_runs(inputs: Path):
@@ -177,6 +200,7 @@ def all_runs(inputs: Path):
     yield from transfers()
     yield from simulations()
     yield from block_seams()
+    yield from moving_feedback(np.random.default_rng(SEED + 1))
     yield from entry_point(inputs)
 
 

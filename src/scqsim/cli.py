@@ -18,7 +18,7 @@ from . import export
 from .config import CHOICES, COMMAND_KEYS, REQUIRED, RunConfig, parse_config, resolve
 from .constants import HBAR
 from .drives import closed_loop_experiment, design_transfer, plan_to_dict
-from .errors import ConfigError, IntegrationError, NumericError, SimulationError
+from .errors import ConfigError, NumericError
 from .evolution import TimeGrid, propagate_static
 from .hamiltonians import build
 from .lyapunov import BilinearParams, Gains, simulate_closed_loop
@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     A command's help is its run function's docstring. Options keep their
     text: values are converted and checked by config.resolve, the path
     config files take too, which also refuses a repeated option as a
-    duplicate key. Options are not abbreviated. The schema is fixed, so one
-    parser serves every call in a process.
+    duplicate key and a value outside an enumerated kind's CHOICES (the
+    help lists them). Options are not abbreviated. The schema is fixed, so
+    one parser serves every call in a process.
     """
     parser = _Parser(
         prog="scqsim",
@@ -176,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
             text = _OPTION_HELP[key]
             if default not in (REQUIRED, None):
                 text += f" (default {default})"
+            metavar = "{" + ",".join(CHOICES[kind]) + "}" if kind in CHOICES else None
             p.add_argument("--" + key.replace("_", "-"), dest=key, required=default is REQUIRED,
-                           action="append", choices=CHOICES.get(kind), help=text)
+                           action="append", metavar=metavar, help=text)
     return parser
 
 
@@ -213,10 +215,10 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args)
         with np.errstate(over="raise"):
             return _DISPATCH[cfg.command](cfg)
-    except (IntegrationError, NumericError, OverflowError, FloatingPointError) as exc:
+    except (NumericError, OverflowError, FloatingPointError) as exc:
         print(f"scqsim: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except SimulationError as exc:
+    except ConfigError as exc:
         print(f"scqsim: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

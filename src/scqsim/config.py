@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import scaled_norm
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .hamiltonians import DRIVE_KINDS, QUBIT_KINDS, QubitParams, default_params, induced_charge
 
 #: schema default of a key the command cannot run without
@@ -272,7 +272,7 @@ def parse_params_file(path, kind: str) -> QubitParams:
         if key != "V_g":
             try:
                 replace(base, **{key: x})
-            except DomainError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         seen[key] = x
         lines[key] = lineno
@@ -287,7 +287,7 @@ def parse_params_file(path, kind: str) -> QubitParams:
     if given:
         try:
             scales = params.zpf()
-        except DomainError:  # no scales to derive; models that need them say so
+        except ConfigError:  # no scales to derive; models that need them say so
             scales = ()
         if not all(map(math.isfinite, scales)):
             key = max(given, key=lines.get)

@@ -6,7 +6,7 @@ All functions are pure and never mutate their arguments.
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,7 +31,7 @@ def bloch_from_state(psi) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != 2:
-        raise DimensionMismatchError(f"expected a 2-dimensional state, got {psi.size}")
+        raise ConfigError(f"expected a 2-dimensional state, got {psi.size}")
     a, b = psi
     w = np.conj(a) * b
     return np.array([2 * w.real, 2 * w.imag, abs(a) ** 2 - abs(b) ** 2])

@@ -18,13 +18,12 @@ _AXES: (1/8, 1/4, 1/8) for charge, (1/16, 1/4, -1/4) for phase and flux):
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import HBAR
 from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
-from .errors import DegenerateBisectorError, DomainError, UnreachableAxisError
+from .errors import ConfigError, NumericError
 from .evolution import BlochTrajectory, TimeGrid, _propagate_eigen, propagate_static
 from .hamiltonians import QubitParams, drive_coupling, exact_drive_operator
 
@@ -50,12 +49,12 @@ class DrivePlan:
     k: float                # drive coupling, J per drive unit
     n_hat: np.ndarray
     omega_q: float
-    t_f: Optional[float] = None
+    t_f: float              # transfer time, s
 
     def __post_init__(self):
         values = [self.lam, self.amplitude, self.dc_offset, self.omega_c, self.k]
         if not all(map(math.isfinite, values)):
-            raise DomainError("drive plan has non-finite entries")
+            raise ConfigError("drive plan has non-finite entries")
 
 
 def bisector_axis(r0, rf) -> np.ndarray:
@@ -64,7 +63,7 @@ def bisector_axis(r0, rf) -> np.ndarray:
     total = np.asarray(r0, dtype=float) + np.asarray(rf, dtype=float)
     norm = np.linalg.norm(total)
     if norm < 1e-9:
-        raise DegenerateBisectorError(
+        raise ConfigError(
             "antipodal states leave the bisector undefined; pick an axis explicitly"
         )
     return total / norm
@@ -75,12 +74,12 @@ def carrier_frequency(params: QubitParams) -> float:
     omega_z = params.E_c / HBAR
     omega_x = params.E_J / HBAR
     if math.isclose(omega_z, omega_x, rel_tol=1e-12):
-        raise DomainError("degenerate spectrum: carrier |omega_z - omega_x| vanishes")
+        raise ConfigError("degenerate spectrum: carrier |omega_z - omega_x| vanishes")
     return abs(omega_z - omega_x)
 
 
 def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
-                 t_f: Optional[float] = None) -> DrivePlan:
+                 t_f: float) -> DrivePlan:
     """Invert the control propagator for a rotation (unit n_hat, omega_q) into signal parameters.
 
     charge:      lam = atan(-2 nx / ny), amp = 4 hbar wq nx / (k Q), dc = hbar wq (nz - nx) / (2k)
@@ -91,9 +90,9 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
     """
     n = np.asarray(n_hat, dtype=float).ravel()
     omega_c = carrier_frequency(params)
-    k = drive_coupling(kind, params)  # rejects kinds without a drive inversion
+    k = drive_coupling(kind, params)
     if k == 0.0:
-        raise DomainError(f"the {kind} qubit's drive coupling is zero: no signal can rotate it")
+        raise ConfigError(f"the {kind} qubit's drive coupling is zero: no signal can rotate it")
     ax, ay, az = _AXES[kind]
     tan_ratio = ay / ax        # of lambda
     amp_factor = 1 / (2 * ax)
@@ -103,7 +102,7 @@ def design_drive(kind: str, n_hat, omega_q: float, params: QubitParams,
         lam = 0.0
         amplitude = -2 * HBAR * omega_q * ny / k  # ny identity at I = 1
     elif ny == 0.0:
-        raise UnreachableAxisError(
+        raise ConfigError(
             "nx != 0 with ny = 0 puts the carrier phase on the sin-lambda pole"
         )
     else:
@@ -171,11 +170,15 @@ def _exact_lab_trajectory(plan: DrivePlan, psi0, grid: TimeGrid,
     with the constant A = hamiltonians.exact_drive_operator(params). H(t) and
     H(t') commute for all t, t', the first Magnus term is exact, and
     U(t) = exp(-i A F(t) / hbar) with F the closed-form integral of
-    amp sin(omega_c t + lambda) + dc from 0.
+    amp sin(omega_c t + lambda) + dc from 0. A carrier phase omega_c t past the
+    float range is a NumericError that names its size.
     """
-    if params.qubit_kind != plan.qubit_kind:
-        raise DomainError(f"a {plan.qubit_kind} plan cannot drive a {params.qubit_kind} circuit")
     tau = grid.times
+    t_end = float(tau[-1])
+    if not math.isfinite(0.5 * plan.omega_c * t_end):
+        digits = math.log10(plan.omega_c) + math.log10(t_end)
+        raise NumericError(f"the exact_lab replay of the {plan.qubit_kind} plan overflows: its "
+                           f"carrier phase omega_c t_f is about 10^{digits:.1f} rad")
     half = 0.5 * plan.omega_c * tau
     # (cos(a) - cos(a + wc tau)) / wc = tau sin(a + wc tau / 2) sinc(wc tau / 2), finite at wc = 0
     integral = (plan.amplitude * tau * np.sin(plan.lam + half) * np.sinc(half / np.pi)
@@ -206,8 +209,6 @@ def closed_loop_experiment(plan: DrivePlan, psi0, model: str, grid: TimeGrid,
 
 def plan_to_dict(plan: DrivePlan) -> dict:
     """Flat JSON form of a plan; field names are part of the file contract."""
-    if plan.t_f is None:
-        raise DomainError("plan needs t_f before serialization")
     return {
         "kind": plan.qubit_kind,
         "lambda_rad": plan.lam,

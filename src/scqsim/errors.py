@@ -1,33 +1,10 @@
-"""Exception types raised by the simulation and control layers."""
+"""The two failure classes, one per exit code of the command line."""
 
 
-class SimulationError(Exception):
-    """Base class for all scqsim errors."""
+class ConfigError(Exception):
+    """An input the run cannot take: a malformed config or value, or parameters
+    outside a model's physical domain (exit 2)."""
 
 
-class DimensionMismatchError(SimulationError):
-    """Operands have incompatible shapes."""
-
-
-class NumericError(SimulationError):
-    """Non-finite entries or a numerically meaningless result."""
-
-
-class DomainError(SimulationError):
-    """Parameter outside its physical domain."""
-
-
-class DegenerateBisectorError(SimulationError):
-    """Initial and final Bloch vectors are antipodal; bisector undefined."""
-
-
-class UnreachableAxisError(SimulationError):
-    """Requested rotation axis cannot be realized by the drive inversion."""
-
-
-class IntegrationError(SimulationError):
-    """Time integration became unstable; reduce the step size."""
-
-
-class ConfigError(SimulationError):
-    """Run configuration file is malformed."""
+class NumericError(Exception):
+    """Non-finite entries, a float overflow or an unstable integration (exit 3)."""

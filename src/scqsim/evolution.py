@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .constants import HBAR
-from .errors import DimensionMismatchError, DomainError, IntegrationError, NumericError
+from .errors import ConfigError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,9 @@ class BlochTrajectory:
     def __post_init__(self):
         n = len(self.times)
         if self.bloch.shape != (n, 3):
-            raise DimensionMismatchError("bloch series length does not match times")
+            raise ConfigError("bloch series length does not match times")
         if np.linalg.norm(self.bloch, axis=1).max() > 1 + 1e-9:
-            raise DomainError("Bloch vectors must stay inside the unit ball")
+            raise ConfigError("Bloch vectors must stay inside the unit ball")
 
     @property
     def final_bloch(self) -> np.ndarray:
@@ -70,7 +70,7 @@ class BlochTrajectory:
 
 def _check_drift(drift: float, what: str):
     if not drift <= DRIFT_ABORT:  # NaN too
-        raise IntegrationError(f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT})")
+        raise NumericError(f"{what} drifted by {drift:.3e} (> {DRIFT_ABORT})")
     if drift > DRIFT_WARN:
         logger.warning("%s drift %.3e exceeds %.0e", what, drift, DRIFT_WARN)
 
@@ -81,12 +81,12 @@ def _state_blocks(matrix: np.ndarray, psi0, elapsed: np.ndarray):
     integral of f from 0 for matrix * f(t))."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if matrix.shape != (psi0.size, psi0.size):
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"Hamiltonian shape {matrix.shape} does not match dim {psi0.size}")
     if not np.isfinite(matrix).all():
         raise NumericError("Hamiltonian has non-finite entries")
     if np.abs(matrix - matrix.conj().T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
-        raise DomainError("Hamiltonian matrix must be Hermitian")
+        raise ConfigError("Hamiltonian matrix must be Hermitian")
     w, v = np.linalg.eigh(matrix)
     coefficients = v.conj().T @ psi0
     for start in range(0, len(elapsed), BLOCK_ROWS):

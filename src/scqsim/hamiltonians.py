@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR
 from .core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .errors import DomainError, NumericError
+from .errors import ConfigError, NumericError
 
 QUBIT_KINDS = ("charge", "phase", "flux", "lcjj")
 
@@ -46,7 +46,7 @@ def zero_point_fluctuations(E_c: float, E_LJ0: float) -> tuple[float, float]:
     product is exactly 1/2.
     """
     if E_c <= 0 or E_LJ0 <= 0:
-        raise DomainError("zero-point fluctuations need strictly positive energies")
+        raise ConfigError("zero-point fluctuations need strictly positive energies")
     n_zpf = (E_LJ0 / (32.0 * E_c)) ** 0.25
     phi_zpf = (2.0 * E_c / E_LJ0) ** 0.25
     return n_zpf, phi_zpf
@@ -76,11 +76,11 @@ class QubitParams:
     def __post_init__(self):
         for name in ("E_c", "E_J", "E_L"):
             if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative")
         for name in ("n_zpf", "phi_zpf"):
             value = getattr(self, name)
             if value is not None and value <= 0:
-                raise DomainError(f"{name} must be positive when supplied")
+                raise ConfigError(f"{name} must be positive when supplied")
 
     def zpf(self) -> tuple[float, float]:
         """Resolved (n_zpf, phi_zpf) pair."""
@@ -91,7 +91,7 @@ class QubitParams:
         if self.n_zpf is not None:
             return self.n_zpf, 0.5 / self.n_zpf
         if self.E_LJ0 is None:
-            raise DomainError("supply n_zpf/phi_zpf or E_LJ0 to fix the operator scales")
+            raise ConfigError("supply n_zpf/phi_zpf or E_LJ0 to fix the operator scales")
         return zero_point_fluctuations(self.E_c, self.E_LJ0)
 
 
@@ -107,15 +107,14 @@ def _charge_validity_warning(p: QubitParams):
 def drive_coupling(kind: str, p: QubitParams) -> float:
     """Coupling k of the approximate model's drive term k s(t) channel, J per drive unit:
     sigma_z for the charge qubit's V, sigma_x for the phase qubit's I and the flux
-    qubit's phi_e. The drive designs of ``scqsim.drives`` invert the same k."""
+    qubit's phi_e; ``kind`` is one of DRIVE_KINDS. The drive designs of
+    ``scqsim.drives`` invert the same k."""
     if kind == "charge":
         return -p.C_g * p.E_c / (2 * E_CHARGE)
     _, phi_zpf = p.zpf()
     if kind == "phase":
         return -(HBAR / (2 * E_CHARGE)) * phi_zpf
-    if kind == "flux":
-        return -p.E_L * phi_zpf
-    raise DomainError(f"no microwave drive inversion for kind {kind!r}")
+    return -p.E_L * phi_zpf
 
 
 def build_approximate(p: QubitParams) -> np.ndarray:
@@ -128,7 +127,7 @@ def build_approximate(p: QubitParams) -> np.ndarray:
     Each drive enters as k times its channel, k = drive_coupling(kind, p).
     """
     if p.qubit_kind == "lcjj":
-        raise DomainError("the approximate model covers charge, phase and flux; "
+        raise ConfigError("the approximate model covers charge, phase and flux; "
                           "use exact2 or fock:N for lcjj")
     _charge_validity_warning(p)
     if p.qubit_kind == "charge":
@@ -232,12 +231,10 @@ def build(p: QubitParams, model: str, n_levels: Optional[int] = None) -> np.ndar
             return build_approximate(p)
         if model == "exact_two_level":
             return build_exact_two_level(p)
-        if model == "fock":
-            return build_fock(p, 8 if n_levels is None else n_levels)
+        return build_fock(p, 8 if n_levels is None else n_levels)
     except OverflowError:
         raise NumericError(f"the {model} Hamiltonian of the {p.qubit_kind} qubit "
                            "overflows a float") from None
-    raise DomainError(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,8 @@ def default_params(kind: str) -> QubitParams:
 
     Quantities the reference sets leave open (E_LJ0 for the charge and flux
     circuits, E_L for the flux circuit) default to E_J. The lcjj set reuses
-    the charge circuit with the inductive branch open (E_L = 0).
+    the charge circuit with the inductive branch open (E_L = 0). ``kind`` is
+    one of QUBIT_KINDS.
     """
     if kind == "charge":
         E_c = 7.55e-23
@@ -265,9 +263,6 @@ def default_params(kind: str) -> QubitParams:
         E_J = 6.017e-23
         return QubitParams("flux", E_c=1.711e-23, E_J=E_J, E_L=E_J,
                            phi_e=0.5, E_LJ0=E_J)
-    if kind == "lcjj":
-        E_c = 7.55e-23
-        E_J = 0.018 * E_c
-        return QubitParams("lcjj", E_c=E_c, E_J=E_J, E_L=0.0, C_g=0.68e-15,
-                           E_LJ0=E_J)
-    raise DomainError(f"unknown qubit kind {kind!r}")
+    E_c = 7.55e-23
+    E_J = 0.018 * E_c
+    return QubitParams("lcjj", E_c=E_c, E_J=E_J, E_L=0.0, C_g=0.68e-15, E_LJ0=E_J)

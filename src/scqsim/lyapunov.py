@@ -30,14 +30,15 @@ from itertools import repeat
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
-from .errors import DomainError, IntegrationError
+from .errors import ConfigError, NumericError
 from .evolution import BlochTrajectory, TimeGrid
 from .hamiltonians import QubitParams
 
 @dataclass(frozen=True)
 class BilinearParams:
     """Physical coefficients of the bilinear Bloch equations. The feedback law
-    divides by c_V and c_I, so each must come out positive and finite."""
+    divides by c_V and c_I, so each must come out positive and finite; with the
+    positive n_zpf and phi_zpf of QubitParams, that needs E_c and C_g positive."""
 
     E_c: float
     C_g: float
@@ -45,13 +46,10 @@ class BilinearParams:
     phi_zpf: float
 
     def __post_init__(self):
-        for name in ("E_c", "C_g", "n_zpf", "phi_zpf"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
         for name, sources in (("c_V", "n_zpf, E_c and C_g"), ("c_I", "phi_zpf")):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"the bilinear coefficient {name} (from {sources}) is "
+                raise ConfigError(f"the bilinear coefficient {name} (from {sources}) is "
                                   f"{value!r}; it must be positive and finite")
 
     @property
@@ -186,7 +184,7 @@ def _adaptive_loop(r, rf, g: Gains, dt, count, dense):
     continuous extension (II.6) to the ``array('d')`` ``dense``. The run ends
     at count dt, or earlier once the state is held (HOLD_DISTANCE,
     HOLD_TRAVEL); it returns that time and state. More than LOOP_STEP_BUDGET
-    steps raise IntegrationError.
+    steps raise NumericError.
     """
     alpha, beta = g.alpha, g.beta
     xf, yf, zf = rf
@@ -288,10 +286,10 @@ def _adaptive_loop(r, rf, g: Gains, dt, count, dense):
         e = math.hypot(x - xf, y - yf, z - zf)
         h *= min(grow, 0.9 * q ** -0.2) if q else grow
         grow = 10.0
-    raise IntegrationError(f"the adaptive closed loop took {LOOP_STEP_BUDGET} steps and reached "
-                           f"t = {t:.3e} s of {t_end:.3e} s; it is stiff for rf near the equator "
-                           f"(here zf = {zf:.3g}): it converges at a rate near zf**2 * "
-                           "min(alpha, beta) while its step stays near 3.3 / max(alpha, beta)")
+    raise NumericError(f"the adaptive closed loop took {LOOP_STEP_BUDGET} steps and reached "
+                       f"t = {t:.3e} s of {t_end:.3e} s; it is stiff for rf near the equator "
+                       f"(here zf = {zf:.3g}): it converges at a rate near zf**2 * "
+                       "min(alpha, beta) while its step stays near 3.3 / max(alpha, beta)")
 
 
 def _dense_samples(dense, times):
@@ -311,7 +309,7 @@ NORM_CEILING = 1 + 1e-9
 
 
 def _check_norm_band(flat):
-    """Raise IntegrationError at the first row after row 0 out of band: a vectorised pass flags
+    """Raise NumericError at the first row after row 0 out of band: a vectorised pass flags
     rows outside the band shrunk by 1e-12 (NaN too); math.hypot decides them in row order."""
     bloch = np.frombuffer(flat).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,8 +318,8 @@ def _check_norm_band(flat):
     for k in np.flatnonzero(~inside).tolist():
         norm = math.hypot(*bloch[k + 1].tolist())
         if not NORM_FLOOR <= norm <= NORM_CEILING:
-            raise IntegrationError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k + 1}; "
-                                   "use integrator='substepped' or shrink dt")
+            raise NumericError(f"Bloch norm drifted by {norm - 1.0:.3e} at sample {k + 1}; "
+                               "use integrator='substepped' or shrink dt")
 
 
 def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
@@ -332,7 +330,7 @@ def simulate_closed_loop(r0, rf, g: Gains, p: BilinearParams, grid: TimeGrid,
     bit-for-bit) or "substepped" (adaptive steps independent of the grid,
     needed when 1/gain is far below the sample interval; see
     _adaptive_loop). A fixed-step run steps to its grid's end and raises
-    IntegrationError when the Bloch norm leaves [NORM_FLOOR, NORM_CEILING],
+    NumericError when the Bloch norm leaves [NORM_FLOOR, NORM_CEILING],
     naming the first such sample. A substepped run's rows lie on the sphere;
     every row after the state is held repeats one row bit for bit.
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from scqsim.cli import _config_from_args, build_parser, main
 from scqsim.config import (
-    CHOICES,
     COMMAND_KEYS,
     COMMANDS,
     MAX_FOCK_LEVELS,
@@ -28,7 +27,7 @@ from scqsim.config import (
     parse_params_file,
     parse_state_spec,
 )
-from scqsim.errors import ConfigError, DomainError
+from scqsim.errors import ConfigError
 from scqsim.hamiltonians import QUBIT_KINDS, QubitParams, induced_charge
 
 REPO = Path(__file__).resolve().parent.parent
@@ -196,7 +195,7 @@ class TestValueParsers:
         assert all(math.isfinite(v) for v in values if v is not None)
         try:
             scales = params.zpf()
-        except DomainError:
+        except ConfigError:
             return
         assert all(map(math.isfinite, scales)), scales
 
@@ -278,6 +277,20 @@ class TestNumericOverflow:
             f"scqsim: numeric failure: the {name} Hamiltonian of the phase qubit overflows in "
             f"propagation: its generator scale max|w| t_final / hbar is about 10^{digits}\n")
 
+    @pytest.mark.parametrize("qubit, digits", [("charge", "311.8"), ("phase", "311.5"),
+                                               ("flux", "311.6")])
+    def test_replay_overflow_names_the_carrier_phase(self, qubit, digits, tmp_path, capsys):
+        # tf is finite, but the exact-lab replay's carrier phase omega_c t_f is not
+        out = tmp_path / "out.json"
+        args = ["drive-run", "--qubit", qubit, "--psi0=1,0;0,0", "--psif=0.6,0;0,0.8",
+                "--steps", "3", "--out", str(out)]
+        assert main([*args, "--tf", "1e300"]) == 3
+        assert capsys.readouterr().err == (
+            f"scqsim: numeric failure: the exact_lab replay of the {qubit} plan overflows: "
+            f"its carrier phase omega_c t_f is about 10^{digits} rad\n")
+        assert not out.exists()
+        assert main([*args, "--tf", "1e296"]) == 0  # omega_c t_f / 2 stays finite
+
 
 class TestJsonOnlyCommands:
     TRANSFER = ["--qubit", "charge", "--psi0", "1,0;0,0", "--psif", "0.6,0;0,0.8",
@@ -285,10 +298,10 @@ class TestJsonOnlyCommands:
     ARGS = {"design": TRANSFER, "drive-run": TRANSFER + ["--steps", "20"]}
 
     @pytest.mark.parametrize("command", ["design", "drive-run"])
-    def test_csv_format_rejected(self, command, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main([command, *self.ARGS[command], "--format", "csv"])
-        assert err.value.code == 2
+    def test_csv_format_rejected(self, command, tmp_path, capsys):
+        assert main([command, *self.ARGS[command], "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            "scqsim: configuration error: --format: format must be json\n")
         cfg = write(tmp_path, "run.cfg", f"[{command}]\nqubit = charge\npsi0 = 1,0;0,0\n"
                     "psif = 0.6,0;0,0.8\ntf = 1e-12\nformat = csv\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:6: format must be json"):
@@ -346,6 +359,7 @@ class TestCliLyapunov:
         ("C_g = 1e-310\n", "0.0"),    # c_V underflows: the law divides by it
         ("n_zpf = 1e-300\n", "0.0"),
         ("phi_zpf = 1e-300\n", "inf"),  # n_zpf = 0.5 / phi_zpf takes c_V past the float range
+        ("E_c = 0\nn_zpf = 1\n", "0.0"),  # a given n_zpf leaves E_c free to be 0
     ])
     def test_unusable_bilinear_coefficient_is_a_config_error(self, params, value, tmp_path,
                                                               capsys):
@@ -522,6 +536,8 @@ class TestCliPlumbing:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--model", "fock:x", "--model: bad Fock level count in model 'fock:x'"),
+        ("--model", "approximate", "--model: unknown model 'approximate' (expected approx, "
+                                   "exact2 or fock:N)"),
         ("--psi0", "1,0,0;0,1", "--psi0: state amplitude '1,0,0' is not 're,im'"),
     ])
     def test_flag_errors_name_their_flag(self, flag, value, message, capsys):
@@ -658,18 +674,15 @@ class TestOneFrontEnd:
     @pytest.mark.parametrize("command, key, value, message", OUT_OF_DOMAIN)
     def test_out_of_domain_value_rejected_by_both(self, command, key, value, message, tmp_path,
                                                   capsys):
-        # argparse refuses a value outside a key's choices before config.resolve sees it
+        # one line each, with config.resolve's message; an enumerated value too
         options = dict(VALID[command], **{key: value}, out=str(tmp_path / "out"))
-        try:
-            code = main(cli_args(command, options))
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        assert f"--{key}" in capsys.readouterr().err
+        assert main(cli_args(command, options)) == 2
+        assert capsys.readouterr().err == f"scqsim: configuration error: --{key}: {message}\n"
         cfg = write(tmp_path, "run.cfg", config_text(command, options))
         line = 2 + list(options).index(key)
         assert main(["--config", str(cfg)]) == 2
-        assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"scqsim: configuration error: {cfg}:{line}: {message}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, key, unit, doubled", [
@@ -707,13 +720,13 @@ class TestOneFrontEnd:
         assert f"run.cfg:{line}: out must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["design", "drive-run"])
-    def test_drive_commands_reject_lcjj_at_parse_time(self, command, tmp_path):
+    def test_drive_commands_reject_lcjj_at_parse_time(self, command, tmp_path, capsys):
         cfg = write(tmp_path, "run.cfg", config_text(command, dict(VALID[command], qubit="lcjj")))
         with pytest.raises(ConfigError, match=r"run\.cfg:2: qubit must be charge or phase or flux"):
             parse_config(cfg)
-        with pytest.raises(SystemExit) as err:
-            main(cli_args(command, dict(VALID[command], qubit="lcjj")))
-        assert err.value.code == 2
+        assert main(cli_args(command, dict(VALID[command], qubit="lcjj"))) == 2
+        assert capsys.readouterr().err == (
+            "scqsim: configuration error: --qubit: qubit must be charge or phase or flux\n")
 
     def test_defaults_filled_and_recorded(self, tmp_path):
         cfg = parse_config(write(tmp_path, "run.cfg", config_text("drive-run", VALID["drive-run"])))
@@ -744,10 +757,11 @@ class TestOneFrontEnd:
     @example(case=("simulate", "model"), text="--")
     @example(case=("simulate", "psi0"), text="--")
     @example(case=("lyapunov", "r0"), text="--")
+    @example(case=("lyapunov", "integrator"), text="rk45")  # config.resolve checks enumerations
+    @example(case=("design", "format"), text="csv")
     def test_fuzzed_value_raises_only_config_error(self, case, text):
         command, key = case
         options = dict(VALID[command], **{key: text})
-        kind = COMMAND_KEYS[command][key][0]
         with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("ignore", UserWarning)  # state spec normalization
             cfg = Path(tmp) / "run.cfg"
@@ -756,11 +770,7 @@ class TestOneFrontEnd:
                 parse_config(cfg)
             except ConfigError as exc:  # a params file error names that file
                 assert "run.cfg" in str(exc) or key == "params"
-            try:
-                args = build_parser().parse_args(cli_args(command, options))
-            except SystemExit as exc:  # argparse choices
-                assert exc.code == 2 and kind in CHOICES
-                return
+            args = build_parser().parse_args(cli_args(command, options))
             try:
                 _config_from_args(args)
             except ConfigError:

@@ -8,7 +8,7 @@ from oracles import scaled_taylor_expm, taylor_expm
 
 from scqsim.constants import HBAR
 from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state, scaled_norm
-from scqsim.errors import DimensionMismatchError, DomainError, NumericError
+from scqsim.errors import ConfigError, NumericError
 from scqsim.evolution import _propagate_eigen, _state_blocks
 
 
@@ -16,7 +16,7 @@ def kernel_accepts(H) -> bool:
     """Whether the eigen kernel propagates under H; it refuses a non-Hermitian one."""
     try:
         next(_state_blocks(H, np.eye(len(H), dtype=complex)[0], np.zeros(1)))
-    except DomainError:
+    except ConfigError:
         return False
     return True
 
@@ -50,7 +50,7 @@ class TestBlochFromState:
         assert np.allclose(bloch_from_state(psi), [-6 / 11, 6 / 11, -7 / 11], atol=1e-12)
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             bloch_from_state(np.array([1.0, 0, 0]))
 
     @given(pure_states())
@@ -164,7 +164,7 @@ class TestMatrixExponential:
             kernel_accepts(np.array([[1, np.inf], [np.inf, 1]], dtype=complex))
 
     def test_non_square(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             _propagate_eigen(np.ones((2, 3), dtype=complex), [1, 0], np.zeros(1), np.zeros(1))
 
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))

@@ -23,7 +23,7 @@ from scqsim.drives import (
     effective_rotating_hamiltonian,
     plan_to_dict,
 )
-from scqsim.errors import DegenerateBisectorError, DomainError, UnreachableAxisError
+from scqsim.errors import ConfigError
 from scqsim.evolution import TimeGrid
 from scqsim.hamiltonians import (DRIVE_KINDS, QubitParams, build_approximate,
                                  build_exact_two_level, default_params, induced_charge)
@@ -64,7 +64,7 @@ class TestBisector:
         assert np.allclose(n_hat, r)
 
     def test_antipodal_states_rejected(self):
-        with pytest.raises(DegenerateBisectorError):
+        with pytest.raises(ConfigError):
             bisector_axis([0, 0, 1], [0, 0, -1])
 
     @given(unit_bloch_vectors(), unit_bloch_vectors())
@@ -96,22 +96,22 @@ class TestDesignDrive:
         assert plan.lam == pytest.approx(-1.4974, abs=1e-4)
 
     def test_pure_z_rotation_is_dc_only(self):
-        plan = design_drive("charge", [0, 0, 1], math.pi / T_F, CHARGE)
+        plan = design_drive("charge", [0, 0, 1], math.pi / T_F, CHARGE, T_F)
         assert plan.lam == 0.0
         assert plan.amplitude == 0.0
         assert plan.dc_offset == pytest.approx(HBAR * (math.pi / T_F) / (2 * plan.k))
 
     def test_equatorial_y_axis_uses_the_ny_identity(self):
         omega_q = math.pi / T_F
-        plan = design_drive("charge", [0, 1, 0], omega_q, CHARGE)
+        plan = design_drive("charge", [0, 1, 0], omega_q, CHARGE, T_F)
         assert plan.lam == 0.0
         assert plan.amplitude == pytest.approx(-2 * HBAR * omega_q / plan.k)
         recon = reconstruct_rotation(plan)
         assert np.abs(recon - omega_q * np.array([0, 1, 0])).max() < 1e-9 * omega_q
 
     def test_x_axis_with_zero_ny_rejected(self):
-        with pytest.raises(UnreachableAxisError):
-            design_drive("charge", [1, 0, 0], math.pi / T_F, CHARGE)
+        with pytest.raises(ConfigError):
+            design_drive("charge", [1, 0, 0], math.pi / T_F, CHARGE, T_F)
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     @pytest.mark.parametrize("n_hat, lam", [([1, 1e-310, 0], -math.pi / 2),
@@ -119,13 +119,9 @@ class TestDesignDrive:
                                             ([-1, 1e-310, 0], math.pi / 2)])
     def test_subnormal_ny_overflows_to_the_pole(self, kind, n_hat, lam):
         # -tan_ratio * nx / ny overflows to +-inf (float division never raises)
-        plan = design_drive(kind, n_hat, 1e12, default_params(kind))
+        plan = design_drive(kind, n_hat, 1e12, default_params(kind), math.pi / 1e12)
         assert plan.lam == lam
         assert math.isfinite(plan.amplitude) and math.isfinite(plan.dc_offset)
-
-    def test_lcjj_has_no_drive_inversion(self):
-        with pytest.raises(DomainError, match="no microwave drive inversion"):
-            design_drive("lcjj", [0.0, 0.0, 1.0], 1e12, default_params("lcjj"))
 
     @pytest.mark.parametrize("kind, channel", [("charge", SIGMA_Z), ("phase", SIGMA_X),
                                                ("flux", SIGMA_X)])
@@ -133,7 +129,7 @@ class TestDesignDrive:
         # the plan is designed on the model it is checked against: the approximate
         # matrix moves by k s channel when the drive field goes from 0 to s
         p = default_params(kind)
-        plan = design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
+        plan = design_drive(kind, [0.6, -0.8, 0.0], 1e12, p, math.pi / 1e12)
         field, s, value = {"charge": ("n_g", 1e-3, induced_charge(p.C_g, 1e-3)),
                            "phase": ("I_g", 1e-3, 1e-3), "flux": ("phi_e", 0.5, 0.5)}[kind]
         H0 = build_approximate(replace(p, **{field: 0.0}))
@@ -142,8 +138,8 @@ class TestDesignDrive:
 
     def test_degenerate_carrier_rejected(self):
         p = QubitParams("charge", E_c=1e-23, E_J=1e-23, C_g=1e-15)
-        with pytest.raises(DomainError):
-            design_drive("charge", [0, 1, 0], 1e12, p)
+        with pytest.raises(ConfigError):
+            design_drive("charge", [0, 1, 0], 1e12, p, math.pi / 1e12)
 
     @pytest.mark.parametrize("kind", ["charge", "phase", "flux"])
     @given(n_hat=unit_bloch_vectors(),
@@ -152,7 +148,7 @@ class TestDesignDrive:
         omega_q = 10.0**log_wq
         if n_hat[1] == 0.0 and n_hat[0] != 0.0:
             return
-        plan = design_drive(kind, n_hat, omega_q, default_params(kind))
+        plan = design_drive(kind, n_hat, omega_q, default_params(kind), math.pi / omega_q)
         recon = reconstruct_rotation(plan)
         assert np.abs(recon - omega_q * n_hat).max() < 1e-9 * omega_q
 
@@ -196,7 +192,7 @@ class TestRwaHamiltonian:
         # part may differ
         if n_hat[1] == 0.0 and n_hat[0] != 0.0:
             return
-        plan = design_drive(kind, n_hat, 1e12, default_params(kind))
+        plan = design_drive(kind, n_hat, 1e12, default_params(kind), math.pi / 1e12)
         H = rwa_part(plan, delta_omega, t)
         p = delta_omega * t + plan.lam
         scale = plan.k * plan.amplitude
@@ -384,20 +380,6 @@ class TestExactReplays:
         assert np.abs(traj.bloch - expected).max() < 1e-10
         assert np.abs(traj.norms - 1.0).max() < 1e-12
 
-    def test_noncommuting_static_part_rejected(self, charge_plan):
-        # a bias current adds sigma_x to an L-C-JJ circuit driven through sigma_y:
-        # its static part is not zero, so the replay refuses the circuit
-        params = replace(default_params("lcjj"), I_g=1e-9)
-        with pytest.raises(DomainError, match="a charge plan cannot drive a lcjj circuit"):
-            closed_loop_experiment(charge_plan, PSI0, "exact_lab", TimeGrid(1e-15, 10),
-                                   params, bloch_from_state(PSIF))
-
-    def test_drive_slot_missing_rejected(self, charge_plan):
-        # the replay drives the plan's own circuit: no other kind takes a charge plan's V
-        for kind in ("phase", "lcjj"):
-            with pytest.raises(DomainError, match="a charge plan cannot drive a " + kind):
-                closed_loop_experiment(charge_plan, PSI0, "exact_lab", TimeGrid(1e-15, 10),
-                                       default_params(kind), bloch_from_state(PSIF))
 
 
 class TestControlPropagator:
@@ -464,7 +446,7 @@ class TestBlochFidelity:
 class TestValidation:
     @pytest.mark.parametrize("field", ["lam", "amplitude", "dc_offset", "k"])
     def test_non_finite_plan_rejected(self, charge_plan, field):
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(ConfigError, match="non-finite"):
             replace(charge_plan, **{field: math.nan})
 
     @pytest.mark.parametrize("kind, field", [("charge", "C_g"), ("charge", "E_c"),
@@ -472,8 +454,8 @@ class TestValidation:
     def test_zero_coupling_rejected(self, kind, field):
         # no signal can rotate the qubit; phi_zpf = 3e-309 underflows the phase k to 0
         p = replace(default_params(kind), **{field: 3e-309 if field == "phi_zpf" else 0.0})
-        with pytest.raises(DomainError, match=f"the {kind} qubit's drive coupling is zero"):
-            design_drive(kind, [0.6, -0.8, 0.0], 1e12, p)
+        with pytest.raises(ConfigError, match=f"the {kind} qubit's drive coupling is zero"):
+            design_drive(kind, [0.6, -0.8, 0.0], 1e12, p, math.pi / 1e12)
 
 
 class TestPlanSerialization:
@@ -493,7 +475,3 @@ class TestPlanSerialization:
         assert set(data) == {"kind", "lambda_rad", "amplitude", "dc_offset",
                              "omega_c_rad_s", "t_f_s", "n_hat", "omega_q_rad_s"}
 
-    def test_serialization_requires_t_f(self, charge_plan):
-        plan = replace(charge_plan, t_f=None)
-        with pytest.raises(DomainError):
-            plan_to_dict(plan)

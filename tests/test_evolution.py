@@ -14,7 +14,7 @@ from oracles import cf4_states, naive_trajectory_csv, pauli_coefficients, rodrig
 
 from scqsim.constants import HBAR
 from scqsim.core import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
-from scqsim.errors import DimensionMismatchError, DomainError, IntegrationError
+from scqsim.errors import ConfigError, NumericError
 from scqsim.evolution import (
     BLOCK_ROWS,
     DRIFT_WARN,
@@ -89,7 +89,7 @@ class TestPropagateStatic:
         assert (energy.max() - energy.min()) < 1e-9 * np.abs(energy).max()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             propagate_static(np.eye(3), PSI0, TimeGrid(1e-15, 1))
 
     @given(unit_bloch_vectors(), unit_bloch_vectors())
@@ -279,22 +279,22 @@ class TestBlochTrajectory:
         assert np.array_equal(traj.final_bloch, traj.bloch[-1])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             BlochTrajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 1.0]]))
 
     def test_rejects_outside_ball(self):
-        with pytest.raises(DomainError, match="unit ball"):
+        with pytest.raises(ConfigError, match="unit ball"):
             BlochTrajectory(np.array([0.0]), np.array([[1.0, 1.0, 0.0]]))
 
 
 class TestDriftCheck:
     def test_abort_threshold_raises(self):
-        with pytest.raises(IntegrationError, match="state norm drifted by 2.000e-04"):
+        with pytest.raises(NumericError, match="state norm drifted by 2.000e-04"):
             _check_drift(2e-4, "state norm")
 
     def test_nan_drift_raises(self):
         # an overflowed run's norms are nan, which no threshold comparison catches
-        with pytest.raises(IntegrationError, match="state norm drifted by nan"):
+        with pytest.raises(NumericError, match="state norm drifted by nan"):
             _check_drift(float("nan"), "state norm")
 
     def test_degraded_run_is_logged(self, caplog):

@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_bloch_vectors
@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from scqsim.constants import HBAR
-from scqsim.errors import DomainError, IntegrationError
+from scqsim.errors import ConfigError, NumericError
 from scqsim.evolution import BlochTrajectory, TimeGrid
 from scqsim.export import write_lyapunov_csv
 from scqsim.hamiltonians import default_params
@@ -213,7 +213,7 @@ class TestSimulateClosedLoop:
         assert run.final_error < 1e-3
 
     def test_fixed_step_diverges_on_stiff_gains(self):
-        with pytest.raises(IntegrationError, match="substepped"):
+        with pytest.raises(NumericError, match="substepped"):
             simulate_closed_loop(R0, RF, Gains(1e10, 5e10), PARAMS,
                                  TimeGrid(1e-6, 100))
 
@@ -285,7 +285,7 @@ class TestBitwiseOracle:
         first = next(k for k, row in enumerate(bloch)
                      if not NORM_FLOOR <= math.hypot(*row) <= NORM_CEILING)
         assert first > 1
-        with pytest.raises(IntegrationError, match=f"at sample {first};"):
+        with pytest.raises(NumericError, match=f"at sample {first};"):
             simulate_closed_loop(r0, RF_OFF_AXIS, GAINS, PARAMS, grid)
 
     @pytest.mark.parametrize("integrator, gains, grid", [
@@ -360,7 +360,7 @@ class TestNormBand:
         if first is None:
             _check_norm_band(flat)
         else:
-            with pytest.raises(IntegrationError) as failure:
+            with pytest.raises(NumericError) as failure:
                 _check_norm_band(flat)
             assert str(failure.value) == drift_text(first[1], first[0])
 
@@ -371,7 +371,7 @@ class TestNormBand:
     def test_hypot_decides_rows_the_vectorised_norm_rounds_into_band(self, row):
         # one ulp from an edge: in band by the vectorised norm, out by math.hypot
         assert NORM_FLOOR <= math.sqrt(np.vecdot(row, row)) <= NORM_CEILING
-        with pytest.raises(IntegrationError) as failure:
+        with pytest.raises(NumericError) as failure:
             _check_norm_band(array("d", tuple(R0.tolist()) + row))
         assert str(failure.value) == drift_text(math.hypot(*row), 1)
 
@@ -382,7 +382,7 @@ class TestNormBand:
     def test_non_finite_and_huge_rows_fail_without_warnings(self, row):
         rows = [tuple(R0.tolist()), tuple(RF.tolist()), tuple(RF_OFF_AXIS.tolist()), row,
                 (math.nan,) * 3]
-        with pytest.raises(IntegrationError) as failure:
+        with pytest.raises(NumericError) as failure:
             _check_norm_band(array("d", [c for r in rows for c in r]))
         assert str(failure.value) == drift_text(math.hypot(*row), 3)
 
@@ -392,7 +392,7 @@ class TestNormBand:
         steps = _closed_loop_steps(tuple(RF.tolist()), GAINS, PARAMS)
         norm = math.hypot(*steps(tuple(R0.tolist()), 2.0, 1))
         assert norm > NORM_CEILING
-        with pytest.raises(IntegrationError) as failure:
+        with pytest.raises(NumericError) as failure:
             simulate_closed_loop(R0, RF, GAINS, PARAMS, TimeGrid(2.0, 2000))
         assert str(failure.value) == drift_text(norm, 1)
 
@@ -456,7 +456,7 @@ class TestSubsteppedKernel:
     def test_step_budget(self, monkeypatch):
         # a pole run at physical gains takes about 1k steps
         monkeypatch.setattr("scqsim.lyapunov.LOOP_STEP_BUDGET", 100)
-        with pytest.raises(IntegrationError, match="took 100 steps and reached t = "):
+        with pytest.raises(NumericError, match="took 100 steps and reached t = "):
             simulate_closed_loop(R0, RF, Gains(1e10, 5e10), PARAMS, TimeGrid(1e-6, 20000),
                                  integrator="substepped")
 
@@ -482,7 +482,7 @@ class TestSubsteppedKernel:
         budget on a target so near the equator that the loop is stiff."""
         try:
             run = simulate_closed_loop(r0, rf, gains, PARAMS, grid, integrator="substepped")
-        except IntegrationError as exc:
+        except NumericError as exc:
             assert "steps and reached" in str(exc) and abs(rf[2]) < 0.01
             return
         eps = np.finfo(float).eps
@@ -490,13 +490,41 @@ class TestSubsteppedKernel:
         assert np.diff(run.gamma_series).max() <= eps
 
 
-class TestValidation:
-    def test_params_must_be_positive(self):
-        with pytest.raises(DomainError):
-            BilinearParams(E_c=0.0, C_g=1e-15, n_zpf=0.1, phi_zpf=3.0)
+class TestConvergence:
+    """For zf away from 0 and r0 away from -rf, a substepped run converges once its horizon
+    is long against 1 / (zf**2 min(alpha, beta)), with gamma non-increasing."""
 
+    #: the horizon in units of 1 / (zf**2 min(alpha, beta)); the slowest of 8,500 seeded
+    #: draws and a sweep of starts at |r0 + rf| = 0.1 reached |r - rf| < 1e-3 at 10.6
+    HORIZON = 20.0
+
+    @settings(max_examples=100)
+    @given(r0=unit_bloch_vectors(), zf=st.floats(min_value=0.2, max_value=1.0),
+           south=st.booleans(), azimuth=st.floats(min_value=0.0, max_value=2 * math.pi),
+           log_gain=st.floats(min_value=-3.0, max_value=9.0),
+           log_ratio=st.floats(min_value=-1.0, max_value=1.0),
+           steps=st.integers(min_value=20, max_value=400))
+    # the slowest start of the sweep: at the pole, 0.1 from -rf, beta = alpha / 10
+    @example(r0=np.array([0.0, 0.1, -math.sqrt(0.99)]), zf=1.0, south=False, azimuth=0.0,
+             log_gain=0.0, log_ratio=-1.0, steps=400)
+    def test_converges_within_a_multiple_of_the_slowest_rate(self, r0, zf, south, azimuth,
+                                                             log_gain, log_ratio, steps):
+        zf = -zf if south else zf
+        rho = math.sqrt(1.0 - zf * zf)
+        rf = np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), zf])
+        assume(np.linalg.norm(r0 + rf) >= 0.1)
+        alpha = 10.0**log_gain
+        beta = alpha * 10.0**log_ratio
+        horizon = self.HORIZON / (zf * zf * min(alpha, beta))
+        run = simulate_closed_loop(r0, rf, Gains(alpha, beta), PARAMS,
+                                   TimeGrid(horizon / steps, steps), integrator="substepped")
+        assert run.converged and run.final_error < 1e-3
+        assert np.diff(run.gamma_series).max() <= np.finfo(float).eps
+
+
+class TestValidation:
     def test_c_I_must_be_finite(self):
         # phi_zpf / e overflows to inf (it cannot underflow); the command line cannot
         # reach this, as n_zpf = 0.5 / phi_zpf takes c_V to 0 first
-        with pytest.raises(DomainError, match=r"coefficient c_I \(from phi_zpf\) is inf;"):
+        with pytest.raises(ConfigError, match=r"coefficient c_I \(from phi_zpf\) is inf;"):
             BilinearParams(E_c=PARAMS.E_c, C_g=PARAMS.C_g, n_zpf=PARAMS.n_zpf, phi_zpf=1e300)
