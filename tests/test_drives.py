@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from oracles import (cf4_states, pauli_coefficients, reconstruct_rotation, rodri
 from scqsim.constants import E_CHARGE, HBAR
 from scqsim.core import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_from_state
 from scqsim.drives import (
+    DrivePlan,
     bisector_axis,
     bloch_fidelity,
     carrier_frequency,
@@ -122,6 +123,12 @@ class TestDesignDrive:
         plan = design_drive(kind, n_hat, 1e12, default_params(kind), math.pi / 1e12)
         assert plan.lam == lam
         assert math.isfinite(plan.amplitude) and math.isfinite(plan.dc_offset)
+
+    def test_lcjj_has_no_drive_inversion(self):
+        # the reference L-C-JJ circuit has its inductive branch open (E_L = 0): its
+        # coupling k is zero, and the design refuses it before inverting anything
+        with pytest.raises(ConfigError, match="the lcjj qubit's drive coupling is zero"):
+            design_drive("lcjj", [0.0, 0.0, 1.0], 1e12, default_params("lcjj"), math.pi / 1e12)
 
     @pytest.mark.parametrize("kind, channel", [("charge", SIGMA_Z), ("phase", SIGMA_X),
                                                ("flux", SIGMA_X)])
@@ -474,4 +481,14 @@ class TestPlanSerialization:
         data = plan_to_dict(charge_plan)
         assert set(data) == {"kind", "lambda_rad", "amplitude", "dc_offset",
                              "omega_c_rad_s", "t_f_s", "n_hat", "omega_q_rad_s"}
+
+    def test_serialization_requires_t_f(self, charge_plan):
+        # t_f is a required field and design argument: no plan exists without the
+        # transfer time that plan_to_dict writes as t_f_s
+        given = {f.name: getattr(charge_plan, f.name) for f in fields(DrivePlan)}
+        del given["t_f"]
+        with pytest.raises(TypeError, match="t_f"):
+            DrivePlan(**given)
+        with pytest.raises(TypeError, match="t_f"):
+            design_drive("charge", charge_plan.n_hat, charge_plan.omega_q, CHARGE)
 

@@ -523,6 +523,15 @@ class TestConvergence:
 
 
 class TestValidation:
+    def test_params_must_be_positive(self):
+        # c_V = n_zpf E_c C_g / (2 e hbar) and c_I = phi_zpf / e: a zero or negative
+        # field makes c_V or c_I non-positive, which the c_V/c_I check refuses
+        base = dict(E_c=PARAMS.E_c, C_g=PARAMS.C_g, n_zpf=PARAMS.n_zpf, phi_zpf=PARAMS.phi_zpf)
+        for field, name in (("E_c", "c_V"), ("C_g", "c_V"), ("n_zpf", "c_V"), ("phi_zpf", "c_I")):
+            for value in (0.0, -base[field]):
+                with pytest.raises(ConfigError, match=f"coefficient {name} .* must be positive"):
+                    BilinearParams(**{**base, field: value})
+
     def test_c_I_must_be_finite(self):
         # phi_zpf / e overflows to inf (it cannot underflow); the command line cannot
         # reach this, as n_zpf = 0.5 / phi_zpf takes c_V to 0 first
